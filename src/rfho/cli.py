@@ -9,20 +9,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .hermite import rf_hermite
-from .kterms import DomainError, FixedKExpr
+from .kterms import FixedKExpr
 from .operators import (
     fourier_remainder,
     remainder_forward_closed,
     remainder_reverted_closed,
     scaled_remainder,
 )
-from .spectral import excited_state, local_eigenvalue
+from .spectral import excited_state, sample_local_eigenvalue, sample_regular
 from .transform import (
     Grid,
     QuadratureConfig,
@@ -33,8 +34,8 @@ from .transform import (
 )
 from .validation import run_all
 
-import cmath
-import math
+#: largest --n any subcommand accepts
+MAX_N = 20
 
 
 def _rational(text: str) -> Fraction:
@@ -63,38 +64,13 @@ def _grid(text: str) -> GridSpec:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected min:max:count, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError("grid ends must be finite")
     if count < 2:
         raise argparse.ArgumentTypeError("grid count must be at least 2")
     if not lo < hi:
         raise argparse.ArgumentTypeError("grid min must be below max")
     return GridSpec(lo, hi, count)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed per-invocation plumbing shared by the sampling commands."""
-
-    alpha: Fraction | None
-    theta: Fraction
-    n: int
-    grid: GridSpec
-    output: str | None
-    format: str
-
-    def __post_init__(self) -> None:
-        if self.grid.count < 2 or not self.grid.lo < self.grid.hi:
-            raise ValueError("grid invariant violated")
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        alpha=getattr(args, "alpha", None),
-        theta=getattr(args, "theta", Fraction(0)),
-        n=getattr(args, "n", 0),
-        grid=getattr(args, "grid", GridSpec(-5.0, 5.0, 501)),
-        output=args.out,
-        format=args.format,
-    )
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -125,9 +101,9 @@ def _grid_json(grid: Grid) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit_grid(grid: Grid, cfg: RunConfig) -> None:
-    text = _grid_json(grid) if cfg.format == "json" else _grid_csv(grid)
-    _emit(text, cfg.output)
+def _emit_grid(grid: Grid, args: argparse.Namespace) -> None:
+    text = _grid_json(grid) if args.format == "json" else _grid_csv(grid)
+    _emit(text, args.out)
 
 
 def _fixed_terms_obj(expr: FixedKExpr) -> list[dict]:
@@ -141,19 +117,15 @@ def _fixed_terms_obj(expr: FixedKExpr) -> list[dict]:
 # subcommands
 
 def cmd_hermite(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    if not 0 <= cfg.n <= 20:
-        print("rfho hermite: --n must lie in 0..20", file=sys.stderr)
-        return 2
     members = []
-    for m in range(cfg.n + 1):
+    for m in range(args.n + 1):
         expr = rf_hermite(m).expr
-        if cfg.alpha is None:
+        if args.alpha is None:
             members.append({"n": m, "terms": expr.to_json_obj()})
         else:
-            members.append({"n": m, "terms": _fixed_terms_obj(expr.at_alpha(cfg.alpha))})
-    if cfg.format == "csv":
-        if cfg.alpha is None:
+            members.append({"n": m, "terms": _fixed_terms_obj(expr.at_alpha(args.alpha))})
+    if args.format == "csv":
+        if args.alpha is None:
             lines = ["n,coeff,sgn,j,m"]
             for row in members:
                 for t in row["terms"]:
@@ -164,71 +136,36 @@ def cmd_hermite(args: argparse.Namespace) -> int:
             for row in members:
                 for t in row["terms"]:
                     lines.append(f"{row['n']},{t['coeff']},{t['sgn']},{t['exponent']}")
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(json.dumps(members, indent=2) + "\n", cfg.output)
+        _emit(json.dumps(members, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_state(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    if cfg.n < 0:
-        print("rfho state: --n must be nonnegative", file=sys.stderr)
-        return 2
-    state = excited_state(cfg.n, cfg.alpha)
+    state = excited_state(args.n, args.alpha)
     if args.space == "x":
-        try:
-            grid = inverse_fourier(state, cfg.grid.points(), QuadratureConfig())
-        except QuadratureError as exc:
-            print(f"rfho state: {exc}", file=sys.stderr)
-            return 1
-        _emit_grid(grid, cfg)
-        return 0
-    pts, vals = [], []
-    for k in cfg.grid.points():
-        try:
-            vals.append(state.eval(k))
-        except DomainError:
-            continue            # singular at the origin: omit the row
-        pts.append(k)
-    _emit_grid(Grid("k", tuple(pts), tuple(vals)), cfg)
+        grid = inverse_fourier(state, args.grid.points(), QuadratureConfig())
+    else:
+        pts, vals = sample_regular(state.eval, args.grid.points())
+        grid = Grid("k", tuple(pts), tuple(vals))
+    _emit_grid(grid, args)
     return 0
 
 
 def cmd_eigenvalue(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    if cfg.n < 0:
-        print("rfho eigenvalue: --n must be nonnegative", file=sys.stderr)
-        return 2
-    base = local_eigenvalue(cfg.n, cfg.alpha, 0)
-    a, th = float(cfg.alpha), float(cfg.theta)
-    pts, vals = [], []
-    for k in cfg.grid.points():
-        try:
-            lam = base.eval(k)
-        except (DomainError, ZeroDivisionError):
-            continue            # origin singularity or denominator root: omit
-        if k != 0.0 and th != 0.0:
-            sign = 1.0 if k > 0 else -1.0
-            lam += (cmath.exp(1j * sign * th * math.pi / 2) - 1.0) * abs(k) ** a / a
-        pts.append(k)
-        vals.append(lam)
-    _emit_grid(Grid("k", tuple(pts), tuple(vals)), cfg)
+    pts, vals = sample_local_eigenvalue(args.n, args.alpha, args.theta, args.grid.points())
+    _emit_grid(Grid("k", tuple(pts), tuple(vals)), args)
     return 0
 
 
 def cmd_nongauss(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    pts = cfg.grid.points()
-    try:
-        if args.space == "x":
-            grid = nongaussianity_x(cfg.alpha, pts, QuadratureConfig())
-        else:
-            grid = nongaussianity_k(cfg.alpha, pts)
-    except QuadratureError as exc:
-        print(f"rfho nongauss: {exc}", file=sys.stderr)
-        return 1
-    _emit_grid(grid, cfg)
+    pts = args.grid.points()
+    if args.space == "x":
+        grid = nongaussianity_x(args.alpha, pts, QuadratureConfig())
+    else:
+        grid = nongaussianity_k(args.alpha, pts)
+    _emit_grid(grid, args)
     return 0
 
 
@@ -363,10 +300,29 @@ def _mend_grid_argv(argv: list[str]) -> list[str]:
     return out
 
 
+def _domain_error(args: argparse.Namespace) -> str | None:
+    alpha, n = getattr(args, "alpha", None), getattr(args, "n", None)
+    if alpha is not None and not 0 < alpha <= 2:
+        return "--alpha must lie in (0, 2]"
+    if n is not None and not 0 <= n <= MAX_N:
+        return f"--n must lie in 0..{MAX_N}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_mend_grid_argv(argv))
-    return args.func(args)
+    problem = _domain_error(args)
+    if problem is not None:
+        print(f"rfho {args.command}: {problem}", file=sys.stderr)
+        return 2
+    try:
+        return args.func(args)
+    except QuadratureError as exc:
+        print(f"rfho {args.command}: {exc}", file=sys.stderr)
+    except OverflowError:
+        print(f"rfho {args.command}: numeric overflow; use a narrower grid", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

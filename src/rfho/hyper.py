@@ -331,9 +331,6 @@ def eval_closed_form(c: ClosedFormPsi0, x, dps: int = 40) -> float:
 _GAUSS_A = _spec([Fraction(1, 2)], [Fraction(3, 2)], Fraction(-1, 2), 2)
 _GAUSS_B = _spec([Fraction(3, 2)], [Fraction(5, 2)], Fraction(-1, 2), 2)
 
-#: erf in confluent form: (sqrt(pi)/2) erf(x) = x * 1F1(1/2, 3/2; -x^2)
-ERF_CONFLUENT = _spec([Fraction(1, 2)], [Fraction(3, 2)], Fraction(-1), 2)
-
 
 def gaussian_via_pfq(x) -> float:
     """exp(-x**2/2) rebuilt from two confluent series: 1F1(1/2,3/2;-x^2/2) - (x^2/3) 1F1(3/2,5/2;-x^2/2)."""
@@ -345,7 +342,6 @@ __all__ = [
     "ClosedFormPsi0",
     "ClosedFormTerm",
     "ConvergenceError",
-    "ERF_CONFLUENT",
     "PFQSpec",
     "PoleError",
     "UnsupportedAlpha",

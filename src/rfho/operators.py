@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .kterms import FixedKExpr, _as_fraction
-from .spectral import KState
+from .spectral import KState, half_turn, phase_split
 
 
 @dataclass(frozen=True)
@@ -254,14 +254,6 @@ class ComplexFixed:
     def zero() -> ComplexFixed:
         return ComplexFixed(FixedKExpr.zero(), FixedKExpr.zero())
 
-    @staticmethod
-    def real(expr: FixedKExpr) -> ComplexFixed:
-        return ComplexFixed(expr, FixedKExpr.zero())
-
-    @staticmethod
-    def imaginary(expr: FixedKExpr) -> ComplexFixed:
-        return ComplexFixed(FixedKExpr.zero(), expr)
-
     @property
     def is_zero(self) -> bool:
         return self.re.is_zero and self.im.is_zero
@@ -294,11 +286,8 @@ def _symbol_pair(order: Fraction, theta: int) -> ComplexFixed:
     For integer theta the phase collapses to cos + i sgn sin with
     cos, sin in {-1, 0, 1}, so the pair stays exact.
     """
-    cos = (1, 0, -1, 0)[theta % 4]
-    sin = (0, 1, 0, -1)[theta % 4]
-    re = FixedKExpr.monomial(cos, 0, order) if cos else FixedKExpr.zero()
-    im = FixedKExpr.monomial(sin, 1, order) if sin else FixedKExpr.zero()
-    return ComplexFixed(re, im)
+    cos, sin = half_turn(theta)
+    return ComplexFixed(FixedKExpr.monomial(cos, 0, order), FixedKExpr.monomial(sin, 1, order))
 
 
 def _times_sgn(c: ComplexFixed) -> ComplexFixed:
@@ -346,23 +335,12 @@ class FourierRemainder:
         a = state.alpha
         h = state.hermite.expr.at_alpha(a)
         s = FixedKExpr.monomial(1, 1, a / 2)
-        base = _phase_pair(state.n, h)
-        deriv = _phase_pair(state.n, h.differentiate() - s * h)
+        base = ComplexFixed(*phase_split(state.n, h))
+        deriv = ComplexFixed(*phase_split(state.n, h.differentiate() - s * h))
         return self.c0 * base + self.c1 * deriv
 
     def eval_applied(self, state: KState, k: float) -> complex:
         return self.apply(state).eval(k) * state.ground_value(k)
-
-
-def _phase_pair(n: int, expr: FixedKExpr) -> ComplexFixed:
-    r = n % 4
-    if r == 0:
-        return ComplexFixed.real(expr)
-    if r == 1:
-        return ComplexFixed.imaginary(expr)
-    if r == 2:
-        return ComplexFixed.real(-expr)
-    return ComplexFixed.imaginary(-expr)
 
 
 def fourier_remainder(gamma, delta, theta=0) -> FourierRemainder:

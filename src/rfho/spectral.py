@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .hermite import RFHermite, rf_hermite
-from .kterms import AlphaPoly, FracExponent, KExpr, _as_fraction
+from .kterms import AlphaPoly, DomainError, KExpr, _as_fraction
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,21 @@ def symbol_eval(order, asymmetry, k: float) -> complex:
     return SymbolSpec(_as_fraction(order), _as_fraction(asymmetry)).eval(k)
 
 
-def symbol_derivative(spec: SymbolSpec) -> tuple[Fraction, SymbolSpec]:
-    """d/dk of the symbol: returns (prefactor, lower-order symbol) with an extra sgn(k).
+def half_turn(r: int) -> tuple[int, int]:
+    """Exact (cos, sin) of r pi/2 for integer r."""
+    return ((1, 0), (0, 1), (-1, 0), (0, -1))[r % 4]
 
-    d/dk [ |k|**q e^{i sgn theta pi/2} ] = q sgn(k) |k|**(q-1) e^{i sgn theta pi/2},
-    so the result is (q, symbol of order q-1) and the caller must attach
-    one sgn(k) factor.
+
+def phase_split(n: int, expr):
+    """(real, imaginary) parts of i**n * expr for a real expression.
+
+    Exactly one part is nonzero: i**n is real for even n and imaginary
+    for odd n.
     """
-    return spec.order, SymbolSpec(spec.order - 1, spec.asymmetry)
+    cos, sin = half_turn(n)
+    part = expr if cos + sin == 1 else -expr
+    zero = expr.scale(0)
+    return (part, zero) if cos else (zero, part)
 
 
 #: sgn(k)|k|**(a/2), minus the log-derivative of the ground state
@@ -102,11 +109,6 @@ class KState:
             raise ValueError("hermite index does not match state index")
 
     @property
-    def phase_power(self) -> int:
-        """Power of i in phi_n = i**n H_n phi0."""
-        return self.n
-
-    @property
     def ground_exponent(self) -> Fraction:
         """Exponent e = a/2 + 1 in phi0 = exp(-|k|**e / e)."""
         return self.alpha / 2 + 1
@@ -116,20 +118,8 @@ class KState:
         return math.exp(-abs(float(k)) ** e / e)
 
     def amplitude_parts(self):
-        """(real, imaginary) FixedKExpr factors of i**n H_n at this alpha.
-
-        Exactly one of the two is nonzero: i**n is real for even n and
-        imaginary for odd n.
-        """
-        h = self.hermite.expr.at_alpha(self.alpha)
-        r = self.n % 4
-        if r == 0:
-            return h, h.scale(0)
-        if r == 1:
-            return h.scale(0), h
-        if r == 2:
-            return -h, h.scale(0)
-        return h.scale(0), -h
+        """(real, imaginary) FixedKExpr factors of i**n H_n at this alpha."""
+        return phase_split(self.n, self.hermite.expr.at_alpha(self.alpha))
 
     def eval(self, k: float) -> complex:
         re, im = self.amplitude_parts()
@@ -197,10 +187,6 @@ class LocalEigenvalue:
         )
 
 
-_HALF_TURN_COS = (1, 0, -1, 0)
-_HALF_TURN_SIN = (0, 1, 0, -1)
-
-
 def local_eigenvalue(n: int, alpha, theta=0) -> LocalEigenvalue:
     """Exact local eigenvalue of the n-th state for integer asymmetry theta.
 
@@ -216,8 +202,7 @@ def local_eigenvalue(n: int, alpha, theta=0) -> LocalEigenvalue:
             "exact symbolic eigenvalues require integer asymmetry; "
             "use sample_local_eigenvalue for general rational theta"
         )
-    r = int(th) % 4
-    cos_half, sin_half = _HALF_TURN_COS[r], _HALF_TURN_SIN[r]
+    cos_half, sin_half = half_turn(int(th))
 
     h = rf_hermite(n).expr
     h1 = h.differentiate()
@@ -234,30 +219,47 @@ def local_eigenvalue(n: int, alpha, theta=0) -> LocalEigenvalue:
     return LocalEigenvalue(n, a, th, re_num, im_num, den)
 
 
-def sample_local_eigenvalue(n: int, alpha, theta, ks: Sequence[float]) -> list[complex]:
-    """Local eigenvalue at sample points for arbitrary rational asymmetry.
+def sample_regular(f, ks: Sequence[float]) -> tuple[list[float], list]:
+    """(kept points, values) of f over ks, leaving out the singular points.
+
+    A point is singular when f raises there: DomainError at the origin
+    under a negative power of |k|, ZeroDivisionError at a root of a
+    denominator.
+    """
+    pts, vals = [], []
+    for k in ks:
+        try:
+            vals.append(f(k))
+        except (DomainError, ZeroDivisionError):
+            continue
+        pts.append(k)
+    return pts, vals
+
+
+def sample_local_eigenvalue(
+    n: int, alpha, theta, ks: Sequence[float]
+) -> tuple[list[float], list[complex]]:
+    """Local eigenvalue at the regular sample points, for any rational asymmetry.
 
     Evaluates the exact symmetric (theta = 0) form and adds the closed
     asymmetry correction (exp(i sgn(k) theta pi/2) - 1) |k|**a / a, which
-    is how theta enters the multiplication symbol.
+    is how theta enters the multiplication symbol.  Singular points are
+    left out, as in ``sample_regular``; returns (kept points, values).
+    At theta = 0 nothing is added, so signed zeros survive.
     """
-    a = _as_fraction(alpha)
-    th = _as_fraction(theta)
-    base = local_eigenvalue(n, a, 0)
-    out = []
-    for k in ks:
-        lam = base.eval(k)
+    a = float(_as_fraction(alpha))
+    th = float(_as_fraction(theta))
+    base = local_eigenvalue(n, alpha, 0)
+
+    def lam(k: float) -> complex:
+        value = base.eval(k)
         kf = float(k)
-        if kf != 0.0 and th != 0:
+        if kf != 0.0 and th != 0.0:
             sign = 1.0 if kf > 0 else -1.0
-            corr = (
-                (cmath.exp(1j * sign * float(th) * math.pi / 2) - 1.0)
-                * abs(kf) ** float(a)
-                / float(a)
-            )
-            lam = lam + corr
-        out.append(lam)
-    return out
+            value += (cmath.exp(1j * sign * th * math.pi / 2) - 1.0) * abs(kf) ** a / a
+        return value
+
+    return sample_regular(lam, ks)
 
 
 __all__ = [
@@ -271,6 +273,5 @@ __all__ = [
     "kernel_residual_at",
     "local_eigenvalue",
     "sample_local_eigenvalue",
-    "symbol_derivative",
     "symbol_eval",
 ]

@@ -1,0 +1,17 @@
+"""Public surface: every exported name resolves."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import rfho
+
+MODULES = ["rfho", *(f"rfho.{m.name}" for m in pkgutil.iter_modules(rfho.__path__))]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []

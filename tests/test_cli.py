@@ -130,6 +130,12 @@ class TestEigenvalue:
         _, data = rows(out)
         assert [r[0] for r in data] == [-1.0, 1.0]
 
+    def test_symmetric_keeps_signed_zeros(self, capsys):
+        code, out = run(capsys, "eigenvalue", "--n", "1", "--alpha", "1",
+                        "--grid=-1:1:3")
+        assert code == 0
+        assert out.splitlines()[1] == "-1,1.75,-0"
+
 
 class TestNonGauss:
     def test_flat_at_index2(self, capsys):
@@ -222,3 +228,37 @@ class TestPlumbing:
         _, data = rows(out)
         for k, re, im in data:
             assert complex(re, im) == state.eval(k)
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv", [
+        ["state", "--n", "0", "--alpha", "3"],
+        ["state", "--n", "0", "--alpha", "0"],
+        ["eigenvalue", "--n", "0", "--alpha", "5/2"],
+        ["nongauss", "--alpha", "-1"],
+        ["state", "--n", "0", "--alpha", "1", "--grid=-inf:1:3"],
+        ["state", "--n", "2000", "--alpha", "1"],
+    ])
+    def test_out_of_domain_exits_2(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith(f"rfho {argv[0]}: ")
+
+    @pytest.mark.parametrize("cmd", [
+        ["state", "--n", "3"],
+        ["eigenvalue", "--n", "3"],
+        ["nongauss"],
+    ])
+    def test_overflow_exits_1(self, capsys, cmd):
+        code = main([*cmd, "--alpha", "3/2", "--grid=-1e200:1e200:3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"rfho {cmd[0]}: ")

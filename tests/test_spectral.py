@@ -129,15 +129,27 @@ class TestEigenvalues:
 
     def test_skewed_sample_value(self):
         # symmetric 1/2 at k=1 plus the (i sgn - 1)|k|^a / a correction
-        got = sample_local_eigenvalue(0, F(1), 1, [1.0])[0]
+        got = sample_local_eigenvalue(0, F(1), 1, [1.0])[1][0]
         assert got == pytest.approx(complex(-0.5, 1.0), abs=1e-14)
-        mirrored = sample_local_eigenvalue(0, F(1), 1, [-1.0])[0]
+        mirrored = sample_local_eigenvalue(0, F(1), 1, [-1.0])[1][0]
         assert mirrored == pytest.approx(complex(-0.5, -1.0), abs=1e-14)
 
     def test_fractional_asymmetry_sampling(self):
-        got = sample_local_eigenvalue(0, F(2), F(1, 2), [1.0])[0]
+        got = sample_local_eigenvalue(0, F(2), F(1, 2), [1.0])[1][0]
         corr = (complex(math.cos(math.pi / 4), math.sin(math.pi / 4)) - 1) / 2
         assert got == pytest.approx(0.5 + corr, abs=1e-14)
+
+    def test_sampling_omits_singular_points(self):
+        # n = 1 at a = 2: the denominator a*H_1 vanishes at the origin
+        pts, vals = sample_local_eigenvalue(1, F(2), 0, [-1.0, 0.0, 1.0])
+        assert pts == [-1.0, 1.0] and len(vals) == 2
+        # n = 2 at a = 1: a negative power of |k| diverges at the origin
+        pts, _ = sample_local_eigenvalue(2, F(1), F(1, 2), [-1.0, 0.0, 1.0])
+        assert pts == [-1.0, 1.0]
+        ks = [-1.5, -0.5, 0.5, 1.5]
+        pts, vals = sample_local_eigenvalue(1, F(2), 0, ks)
+        assert pts == ks
+        assert vals == pytest.approx([1.5] * 4, abs=1e-12)
 
     def test_skew_shift_is_symbolically_exact(self):
         # fully skewed numerator loses the |k|^a part, gains the sgn|k|^a part
