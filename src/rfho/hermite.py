@@ -50,12 +50,17 @@ def ladder_next(h: RFHermite) -> RFHermite:
 def rf_hermite(n: int) -> RFHermite:
     """n-th generalized Hermite polynomial, built by iterating the ladder from H_0 = 1.
 
-    Cached; safe for concurrent reads once built.
+    Cached; safe for concurrent reads once built.  Lower members are
+    requested in ascending order, so each is a cache hit or one ladder
+    step from the one before it, and the call depth stays bounded
+    whatever n is.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n == 0:
         return RFHermite(0, KExpr.one())
+    for k in range(1, n - 1):
+        rf_hermite(k)
     return ladder_next(rf_hermite(n - 1))
 
 

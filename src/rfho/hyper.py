@@ -16,6 +16,16 @@ Series evaluation runs in mpmath arbitrary precision: the index-3/2
 table mixes large Gamma values with tiny rational prefactors, and the
 series themselves alternate, so double precision would shed digits to
 cancellation.  Public entry points return floats.
+
+``pfq_mp`` forms each term ratio from Python ints (the parameters scaled
+by the lcm of their denominators) and stops on a ratio tail bound in the
+spirit of Johansson, "Computing hypergeometric functions rigorously"
+(arXiv:1606.06977): a float bound r_n on all later term ratios, and the
+geometric tail |term_n| r_n/(1 - r_n) below mp.eps of the partial sum.
+A cancellation guard re-sums once at higher precision when the largest
+term exceeds the sum by more than all but 20 of the working digits
+(index 1 beyond x of about 5.25).  Coefficients a_{2m} are cached per
+(index, power, precision).
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import mpmath as mp
@@ -55,7 +66,8 @@ def gamma(z) -> float:
 
 
 _TERM_CAP = 10_000
-_QUIET_RUN = 30
+_SPARE_DIGITS = 20    # fewer digits than this left after cancellation: re-sum
+_GUARD_DIGITS = 10    # extra digits of the re-sum beyond those lost
 
 
 @dataclass(frozen=True)
@@ -81,44 +93,117 @@ class PFQSpec:
         return scale * mp.mpf(x) ** self.argument_power
 
 
-def _fr(v: Fraction) -> mp.mpf:
-    return mp.mpf(v.numerator) / v.denominator
+@dataclass(frozen=True)
+class _Steps:
+    """Integer term ratios and float tail-bound data for one spec.
+
+    With D the lcm of all parameter denominators, a + n = (D*a + n*D)/D,
+    so term_{n+1}/term_n = z * top(n) / bottom(n) with Python-int top and
+    bottom.  ``pairs`` and ``extras`` feed ``bound``.
+    """
+
+    lcm: int
+    tops: tuple[int, ...]
+    bottoms: tuple[int, ...]
+    top_scale: int
+    bottom_scale: int
+    pairs: tuple[tuple[float, float], ...]
+    extras: tuple[float, ...]
+
+    def top(self, n: int) -> int:
+        out = self.top_scale
+        for a in self.tops:
+            out *= a + n * self.lcm
+        return out
+
+    def bottom(self, n: int) -> int:
+        out = self.bottom_scale * (n + 1)
+        for b in self.bottoms:
+            out *= b + n * self.lcm
+        return out
+
+    def bound(self, n: int, zabs: float) -> float:
+        """r_n >= sup_{m >= n} |term_{m+1}/term_m|, inf while some b + n <= 0."""
+        r = zabs
+        for a, b in self.pairs:
+            if b + n <= 0:
+                return math.inf
+            if a > b:
+                r *= (a + n) / (b + n)
+        for b in self.extras:
+            if b + n <= 0:
+                return math.inf
+            r /= b + n
+        return r
+
+
+@lru_cache(maxsize=128)
+def _steps(spec: PFQSpec) -> _Steps:
+    nums = [Fraction(a) for a in spec.numerator_params]
+    dens = [Fraction(b) for b in spec.denominator_params]
+    d = math.lcm(*(v.denominator for v in nums + dens))
+    p, q = len(nums), len(dens)
+    # each |a| is paired with one denominator parameter, the factorial's
+    # (n+1) counting as b = 1; p <= q + 1 leaves no |a| unpaired
+    abs_a = sorted((abs(float(a)) for a in nums), reverse=True)
+    bs = sorted((float(b) for b in dens + [Fraction(1)]), reverse=True)
+    return _Steps(
+        lcm=d,
+        tops=tuple(int(a * d) for a in nums),
+        bottoms=tuple(int(b * d) for b in dens),
+        top_scale=d ** (q - p) if q >= p else 1,
+        bottom_scale=d if p > q else 1,
+        pairs=tuple(zip(abs_a, bs)),
+        extras=tuple(bs[p:]),
+    )
+
+
+def _sum_series(steps: _Steps, z: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
+    """(sum, largest |term|) at the current working precision."""
+    zabs = float(abs(z))
+    term = mp.mpf(1)
+    total = mp.mpf(1)
+    largest = mp.mpf(1)
+    for n in range(_TERM_CAP):
+        r = steps.bound(n, zabs)
+        mag = abs(term)
+        if mag > largest:
+            largest = mag
+        if r < 1 and mag * (r / (1 - r)) <= mp.eps * abs(total):
+            return total, largest
+        term = term * z * steps.top(n) / steps.bottom(n)
+        total += term
+    raise ConvergenceError(
+        f"no convergence within {_TERM_CAP} terms (|z| = {zabs:.3g})"
+    )
 
 
 def pfq_mp(spec: PFQSpec, x, dps: int = 40) -> mp.mpf:
     """Series evaluation by term recurrence at the given working precision.
 
-    term_{n+1} = term_n * prod(a+n)/prod(b+n) * z/(n+1); stops once the
-    term stays below 1e-16 of the partial sum for 30 consecutive terms,
-    raises ConvergenceError at the 10,000-term cap.
+    term_{n+1} = term_n * prod(a+n)/prod(b+n) * z/(n+1), with the ratio
+    formed from Python ints (parameters scaled by the lcm of their
+    denominators).  Before each step a float bound r_n on every later
+    term ratio is formed from the parameters; summation stops once r_n < 1
+    and the geometric tail |term_n| r_n/(1 - r_n) is at most mp.eps times
+    the partial sum, and raises ConvergenceError at the 10,000-term cap.
+    Cancellation guard: if the largest |term| exceeds the sum by so much
+    that fewer than 20 digits survive, the series is summed once more at
+    dps + (digits lost) + 10 and rounded back to dps.
     """
+    steps = _steps(spec)
     with mp.workdps(dps):
         z = spec.argument(x)
         if len(spec.numerator_params) == len(spec.denominator_params) + 1 and abs(z) >= 1:
             raise ValueError("argument outside the convergence disk for p = q + 1")
-        nums = [_fr(a) for a in spec.numerator_params]
-        dens = [_fr(b) for b in spec.denominator_params]
-        rel = mp.mpf("1e-16")
-        term = mp.mpf(1)
-        total = mp.mpf(1)
-        quiet = 0
-        for n in range(_TERM_CAP):
-            ratio = z / (n + 1)
-            for a in nums:
-                ratio *= a + n
-            for b in dens:
-                ratio /= b + n
-            term = term * ratio
-            total += term
-            if abs(term) <= rel * abs(total):
-                quiet += 1
-                if quiet >= _QUIET_RUN:
-                    return total
-            else:
-                quiet = 0
-        raise ConvergenceError(
-            f"no convergence within {_TERM_CAP} terms (|z| = {float(abs(z)):.3g})"
-        )
+        total, largest = _sum_series(steps, z)
+        if largest <= abs(total) * mp.mpf(10) ** (dps - _SPARE_DIGITS):
+            return total
+        lost = dps if not total else int(mp.ceil(mp.log10(largest / abs(total))))
+    with mp.workdps(dps + lost + _GUARD_DIGITS):
+        total, _ = _sum_series(steps, spec.argument(x))
+    with mp.workdps(dps):
+        return +total
 
 
 def pfq(spec: PFQSpec, x) -> float:
@@ -237,8 +322,9 @@ _TABLE_32 = (
 )
 
 
+@lru_cache(maxsize=None)
 def _a_value(alpha: Fraction, power: int, dps: int) -> mp.mpf:
-    """The a coefficient for one (alpha, power) slot, from its symbolic recipe."""
+    """The a coefficient for one (alpha, power) slot, from its symbolic recipe (cached)."""
     with mp.workdps(dps):
         pi = mp.pi
         if alpha == 1:

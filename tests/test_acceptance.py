@@ -62,6 +62,22 @@ def test_criterion_closed_form_index32_crosscheck():
     assert "0.499090463" in result.detail
 
 
+def test_criterion_closed_form_index32_gates_low_terms(monkeypatch):
+    # a 1e-8 slip in term m=1 stays below the 1e-6 itemization threshold
+    # but must still fail the criterion
+    original = v.closed_form_term_values
+
+    def slipped(table, x, dps=40):
+        values = original(table, x, dps)
+        values[1] *= 1 + 1e-8
+        return values
+
+    monkeypatch.setattr(v, "closed_form_term_values", slipped)
+    result = v.crit_closed_form_alpha32(CFG)
+    assert not result.passed
+    assert "lowest three terms" in result.detail
+
+
 def test_criterion_parity_reality():
     _report(v.crit_parity_reality(CFG))
 

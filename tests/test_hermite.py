@@ -1,5 +1,6 @@
 """Polynomial family: ladder vs weight-derivative build, reductions, structure."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -99,3 +100,22 @@ def test_most_negative_exponent():
     for n in range(2, 8):
         fixed = rf_hermite(n).expr.at_alpha(F(1))
         assert min(t.exponent for t in fixed.terms) == F(1, 2) - (n - 1)
+
+
+def _call_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_cold_build_needs_no_deep_recursion():
+    built = rf_hermite(45)
+    rf_hermite.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_call_depth() + 30)
+    try:
+        rebuilt = rf_hermite(45)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rebuilt == built

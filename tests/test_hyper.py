@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfho.hyper import (
+    _GAUSS_A,
+    _GAUSS_B,
+    _steps,
     ConvergenceError,
     PFQSpec,
     PoleError,
@@ -19,6 +22,7 @@ from rfho.hyper import (
     gamma,
     gaussian_via_pfq,
     pfq,
+    pfq_mp,
 )
 
 # independently pinned with a 40-digit evaluation of the defining series
@@ -134,5 +138,71 @@ def test_unsupported_index():
         closed_form_psi0(F(7, 8))
 
 
-def test_convergence_error_type_exists():
+ALL_SPECS = [t.f for a in (F(1), F(3, 2)) for t in closed_form_psi0(a).terms] + [_GAUSS_A, _GAUSS_B]
+
+
+def _mp_reference(spec, x, dps=60):
+    with mp.workdps(dps):
+        return mp.hyper(
+            [mp.mpf(p.numerator) / p.denominator for p in spec.numerator_params],
+            [mp.mpf(q.numerator) / q.denominator for q in spec.denominator_params],
+            spec.argument(x),
+        )
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_pfq_mp_matches_60_digit_hyper(spec):
+    for i in range(9):
+        x = 0.5 * i
+        ours = pfq_mp(spec, x)
+        ref = _mp_reference(spec, x)
+        assert abs(ours - ref) <= mp.mpf("1e-25") * abs(ref), (spec, x)
+
+
+# p = q + 1 with every |a| below its b: the term ratio rises towards |z|
+# with n, so its supremum is not reached at the current step
+_RISING_RATIO = PFQSpec((F(1, 2), F(1, 3)), (F(2),), F(1, 8), 1)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [_RISING_RATIO])
+def test_tail_bound_dominates_later_ratios(spec):
+    # r_n must bound |term_{m+1}/term_m| for every m >= n; checked exactly
+    # on a window of later m at a few arguments
+    steps = _steps(spec)
+    for x in (0.5, 2.0, 4.0):
+        z = F(spec.argument_scale) * F(x) ** spec.argument_power
+        for n in range(0, 40, 3):
+            r = steps.bound(n, float(abs(z)))
+            for m in range(n, n + 20):
+                ratio = abs(z * steps.top(m)) / steps.bottom(m)
+                assert ratio <= r * (1 + 1e-12), (spec, x, n, m)
+
+
+def test_origin_returns_exactly_one():
+    for spec in ALL_SPECS:
+        assert pfq_mp(spec, 0.0) == 1
+
+
+def test_terminating_series_is_exact():
+    # 1F1(-2; 1/2; z) = 1 - 4z + (4/3) z^2, which is 25 at z = -3
+    spec = PFQSpec((F(-2),), (F(1, 2),), F(-3), 1)
+    assert pfq_mp(spec, 1.0) == 25
+
+
+def test_slow_series_hits_term_cap():
+    # 2F1(1, 1; 1/2; z) next to the edge of its disk: the ratio bound stays
+    # above 1 far past the 10,000-term cap
+    spec = PFQSpec((F(1), F(1)), (F(1, 2),), F(1), 1)
+    with pytest.raises(ConvergenceError):
+        pfq_mp(spec, 0.999999)
     assert issubclass(ConvergenceError, RuntimeError)
+
+
+@pytest.mark.parametrize("x, want", [(6.0, 0.016455441648800972), (7.0, 0.010858592805585278)])
+def test_cancellation_guard_at_large_x(x, want):
+    # the index-1 series lose 30 (x = 6) and 49 (x = 7) digits to
+    # cancellation, more than the 40 working digits hold; want is the
+    # 120-digit value
+    table = closed_form_psi0(F(1))
+    assert eval_closed_form(table, x, dps=120) == pytest.approx(want, rel=1e-15)
+    assert eval_closed_form(table, x) == pytest.approx(want, rel=1e-13)
