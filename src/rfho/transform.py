@@ -15,13 +15,23 @@ and psi is real in both cases because exactly one of Re phi, Im phi is
 structurally zero.  The imaginary residue is still assembled from the
 structurally-zero component and asserted below 1e-12.
 
-Quadrature: fixed Gauss-Legendre panels on [0, K].  The amplitudes carry
-|k|**q singularities at the origin (integrable after the parity factor
-softens them, worst case |k|**(-1/2) for n <= 3), so panels below
-k = min(1, K/2) form a geometric mesh halving down over 100 levels; the
-skipped sliver [0, k 2^-100] contributes < 1e-14 even against |k|**(-1/2).
-The truncation tail exp(-K**e / e), e = alpha/2 + 1, must sit below 1e-16,
-which the default cutoff K = 25 guarantees for alpha >= 1.
+Quadrature: panel_count uniform panels of width h = K / panel_count cover
+[0, K].  The amplitudes carry |k|**q singularities at the origin
+(integrable after the parity factor softens them to k**p, p > -1), so the
+first panel [0, h] uses a tanh-sinh rule, whose nodes crowd double
+exponentially towards k = 0; the other panels use Gauss-Legendre.  The
+tanh-sinh panel is cut on the left where the mass of the dropped sliver
+[0, k0], bounded by the state's coefficient sum times k0**(p+1) / (p+1),
+falls below 1e-17 of the integrand's absolute mass.  Where the raw
+amplitude overflows at the deepest nodes, the cut moves up to the first
+node whose value is finite, and the transform is refused if the dropped
+mass bound then exceeds 1e-16 of that mass.  The truncation tail
+exp(-K**e / e), e = alpha/2 + 1, must sit below 1e-16, which the default
+cutoff K = 25 guarantees for alpha >= 1.
+
+The cos/sin kernel is never held whole: the sums run over blocks of 128
+x rows, so the transform's working memory is one block of 128 x nodes
+floats (3.3 MB on the default rule), whatever the grid size.
 """
 
 from __future__ import annotations
@@ -40,13 +50,22 @@ from .spectral import KState, ground_state
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature self-checks failed (residue assertion or inadequate cutoff)."""
+    """Quadrature self-checks failed (residue, inadequate cutoff, or origin overflow)."""
 
 
-_GRADED_LEVELS = 100
 _REFERENCE_MIN_ALPHA = Fraction(1)
 _TAIL_LIMIT = 1e-16
 _RESIDUE_LIMIT = 1e-12
+#: share of the integrand's absolute mass the origin cut aims to drop, and may drop at most
+_DROP_TARGET = 1e-17
+_DROP_LIMIT = 1e-16
+#: x rows whose cos/sin kernel is held at once
+_BLOCK_ROWS = 128
+#: tanh-sinh abscissae t = j * _TS_STEP, j = _TS_FIRST.._TS_LAST; at t = -6 the
+#: node sits 6e-276 panel widths from k = 0, at t = 3.5 its weight is 2e-22 widths
+_TS_STEP = 1 / 8
+_TS_FIRST = -48
+_TS_LAST = 28
 
 
 @dataclass(frozen=True)
@@ -69,13 +88,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Truncated-domain fixed-panel Gauss-Legendre quadrature settings.
+    """Truncated-domain panel quadrature settings.
 
-    rule is "gl<n>" with n nodes per panel; panel_count panels cover the
-    smooth region [min(1, K/2), K] uniformly, and 100 geometrically graded
-    panels cover the origin side.  Constructed configs are validated
-    against the documented minimum index 1; per-transform the actual
-    index is re-checked.
+    panel_count uniform panels cover [0, k_cutoff].  The first, next to
+    the origin singularity, is a tanh-sinh panel of 77 nodes cut on the
+    left per state; the others use the Gauss-Legendre rule "gl<n>" with n
+    nodes each.  The default rule has 77 + 199 * 16 = 3261 nodes, and
+    doubling panel_count halves every panel.  Constructed configs are
+    validated against the documented minimum index 1; per-transform the
+    actual index is re-checked.
     """
 
     k_cutoff: float = 25.0
@@ -104,25 +125,27 @@ class QuadratureConfig:
         return math.exp(-self.k_cutoff**e / e)
 
 
+def _tanh_sinh(width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes k = width / (1 + exp(-pi sinh t)) and weights on [0, width], ascending."""
+    t = np.arange(_TS_FIRST, _TS_LAST + 1) * _TS_STEP
+    z = np.pi * np.sinh(t)
+    # u = 1 / (1 + e^-z) and v = 1 - u, each formed without cancellation
+    ez = np.exp(-np.abs(z))
+    near, far = ez / (1 + ez), 1 / (1 + ez)
+    u = np.where(z < 0, near, far)
+    v = np.where(z < 0, far, near)
+    return width * u, width * _TS_STEP * np.pi * np.cosh(t) * u * v
+
+
 @lru_cache(maxsize=8)
 def _nodes_and_weights(cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
+    width = cfg.k_cutoff / cfg.panel_count
     base_x, base_w = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
-    k_split = min(1.0, cfg.k_cutoff / 2)
-    bounds: list[tuple[float, float]] = []
-    lo = k_split
-    for _ in range(_GRADED_LEVELS):
-        bounds.append((lo / 2, lo))
-        lo /= 2
-    step = (cfg.k_cutoff - k_split) / cfg.panel_count
-    for i in range(cfg.panel_count):
-        bounds.append((k_split + i * step, k_split + (i + 1) * step))
-    nodes = []
-    weights = []
-    for a, b in bounds:
-        half = (b - a) / 2
-        nodes.append(half * base_x + (a + b) / 2)
-        weights.append(half * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    centers = width * (np.arange(1, cfg.panel_count) + 0.5)
+    ts_nodes, ts_weights = _tanh_sinh(width)
+    nodes = np.concatenate([ts_nodes, (centers[:, None] + width / 2 * base_x).ravel()])
+    weights = np.concatenate([ts_weights, np.tile(width / 2 * base_w, cfg.panel_count - 1)])
+    return nodes, weights
 
 
 def _eval_fixed_on_positive(expr: FixedKExpr, ks: np.ndarray) -> np.ndarray:
@@ -133,47 +156,153 @@ def _eval_fixed_on_positive(expr: FixedKExpr, ks: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Integrand:
+    """One state's weighted integrand on the rule's nodes.
+
+    ``value`` pairs with the kernel to give psi (the sign of the odd fold
+    included), ``residue`` is the structurally-zero part.  Nodes below
+    ``first_finite`` overflowed.  The mass dropped by cutting the rule at
+    node k0 <= 1 is at most ``drop_coeff * k0**power``.
+    """
+
+    value: np.ndarray
+    residue: np.ndarray
+    mass: float
+    first_finite: int
+    power: float
+    drop_coeff: float
+
+    def dropped(self, k0: float) -> float:
+        return self.drop_coeff * k0**self.power
+
+    def first_kept(self, nodes: np.ndarray) -> int:
+        """Index of the largest node whose dropped sliver stays below _DROP_TARGET."""
+        share = min(1.0, _DROP_TARGET * self.mass / self.drop_coeff)
+        k_min = share ** (1 / self.power)
+        return max(int(np.searchsorted(nodes, k_min, side="right")) - 1, 0)
+
+
+def _integrand(
+    state: KState, nodes: np.ndarray, weights: np.ndarray, x_reach: float
+) -> _Integrand:
+    odd = state.n % 2
+    re_amp, im_amp = state.amplitude_parts()
+    amp = im_amp if odd else re_amp
+    # odd states gain one origin power from the sin kernel, |sin kx| <= k x_reach
+    softened = amp.min_exponent + odd
+    if softened <= -1:
+        raise QuadratureError(
+            f"state n={state.n} at index {state.alpha} is not integrable at k=0"
+        )
+    e = float(state.ground_exponent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ground = np.exp(-(nodes**e) / e)
+        phi_re = _eval_fixed_on_positive(re_amp, nodes) * ground
+        phi_im = _eval_fixed_on_positive(im_amp, nodes) * ground
+    bad = np.flatnonzero(~(np.isfinite(phi_re) & np.isfinite(phi_im)))
+    first = int(bad[-1]) + 1 if bad.size else 0
+    main = np.abs(phi_im if odd else phi_re)[first:] * weights[first:]
+    if odd:
+        main *= np.minimum(1.0, nodes[first:] * x_reach)
+    power = float(softened) + 1
+    coeff_sum = sum(abs(float(t.coeff)) for t in amp.terms)
+    if odd:
+        value, residue = -(weights * phi_im), weights * phi_re
+    else:
+        value, residue = weights * phi_re, weights * phi_im
+    return _Integrand(
+        value=value,
+        residue=residue,
+        mass=2.0 * float(np.sum(main)),
+        first_finite=first,
+        power=power,
+        drop_coeff=2.0 * coeff_sum * (x_reach if odd else 1.0) / power,
+    )
+
+
+def _first_node(states: Sequence[KState], parts: Sequence[_Integrand], nodes: np.ndarray) -> int:
+    """One origin cut for all states: deep enough for each, above every overflow."""
+    start = max(
+        min(p.first_kept(nodes) for p in parts), max(p.first_finite for p in parts)
+    )
+    for state, part in zip(states, parts):
+        share = part.dropped(float(nodes[start])) / part.mass
+        if share > _DROP_LIMIT:
+            raise QuadratureError(
+                f"state n={state.n} at index {state.alpha}: the sliver next to k=0 left "
+                f"out of the rule may hold {share:.1e} of the integrand's mass "
+                f"(limit {_DROP_LIMIT}), as its amplitude overflows there"
+            )
+    return start
+
+
+def _fourier_sums(
+    x_arr: np.ndarray, nodes: np.ndarray, columns: Sequence[np.ndarray], odd: bool
+) -> np.ndarray:
+    """2 * sum_j trig(x_i k_j) c_j for each column c, one row per column.
+
+    The kernel is formed _BLOCK_ROWS rows of x at a time in one reused
+    buffer; each column gets its own matrix-vector product, so identical
+    columns give identical sums.
+    """
+    trig = np.sin if odd else np.cos
+    out = np.empty((len(columns), x_arr.size))
+    block = np.empty((min(_BLOCK_ROWS, x_arr.size), nodes.size))
+    for lo in range(0, x_arr.size, _BLOCK_ROWS):
+        rows = x_arr[lo : lo + _BLOCK_ROWS]
+        kernel = block[: rows.size]
+        np.multiply.outer(rows, nodes, out=kernel)
+        trig(kernel, out=kernel)
+        for c, column in enumerate(columns):
+            np.dot(kernel, column, out=out[c, lo : lo + rows.size])
+    out *= 2.0
+    return out
+
+
+def _x_array(xs: Sequence[float]) -> np.ndarray:
+    x_arr = np.asarray([float(x) for x in xs], dtype=float)
+    if x_arr.size and not np.all(np.isfinite(x_arr)):
+        raise ValueError("sample points must be finite")
+    return x_arr
+
+
+def _transform(
+    states: Sequence[KState], x_arr: np.ndarray, cfg: QuadratureConfig
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(psi, imaginary residue) of each state, all of one parity, in one kernel pass."""
+    for state in states:
+        if cfg.tail_bound(state.alpha) >= _TAIL_LIMIT:
+            raise QuadratureError(
+                f"cutoff {cfg.k_cutoff} is too small for index {state.alpha}"
+            )
+    nodes, weights = _nodes_and_weights(cfg)
+    odd = states[0].n % 2 == 1
+    x_reach = max(1.0, float(np.max(np.abs(x_arr)))) if odd and x_arr.size else 1.0
+    parts = [_integrand(s, nodes, weights, x_reach) for s in states]
+    start = _first_node(states, parts, nodes)
+    columns = [c[start:] for p in parts for c in (p.value, p.residue)]
+    sums = _fourier_sums(x_arr, nodes[start:], columns, odd)
+    out = []
+    for psi, residue in zip(sums[0::2], sums[1::2]):
+        worst = float(np.max(np.abs(residue))) if residue.size else 0.0
+        if worst >= _RESIDUE_LIMIT:
+            raise QuadratureError(
+                f"imaginary residue {worst:.3e} exceeds {_RESIDUE_LIMIT}"
+            )
+        out.append((psi, residue))
+    return out
+
+
 def inverse_fourier(state: KState, xs: Sequence[float], cfg: QuadratureConfig) -> Grid:
     """Transform a k-space state to the x axis; returns a real-valued Grid.
 
     Raises QuadratureError when the cutoff is inadequate for the state's
-    index or the imaginary residue exceeds 1e-12.
+    index, the state is not integrable at k = 0 or overflows there, or the
+    imaginary residue exceeds 1e-12.
     """
-    if cfg.tail_bound(state.alpha) >= _TAIL_LIMIT:
-        raise QuadratureError(
-            f"cutoff {cfg.k_cutoff} is too small for index {state.alpha}"
-        )
-    x_arr = np.asarray([float(x) for x in xs], dtype=float)
-    if x_arr.size and not np.all(np.isfinite(x_arr)):
-        raise ValueError("sample points must be finite")
-    nodes, weights = _nodes_and_weights(cfg)
-    e = float(state.ground_exponent)
-    ground = np.exp(-(nodes**e) / e)
-    re_amp, im_amp = state.amplitude_parts()
-    amp = im_amp if state.n % 2 else re_amp
-    if amp.terms:
-        # odd states gain one origin power from the sin kernel
-        softened = amp.min_exponent + (1 if state.n % 2 else 0)
-        if softened <= -1:
-            raise QuadratureError(
-                f"state n={state.n} at index {state.alpha} is not integrable at k=0"
-            )
-    phi_re = _eval_fixed_on_positive(re_amp, nodes) * ground
-    phi_im = _eval_fixed_on_positive(im_amp, nodes) * ground
-
-    phases = np.outer(x_arr, nodes)
-    if state.n % 2 == 0:
-        kernel = np.cos(phases)
-        psi_re = 2.0 * kernel @ (weights * phi_re)
-        residue = 2.0 * kernel @ (weights * phi_im)
-    else:
-        kernel = np.sin(phases)
-        psi_re = -2.0 * kernel @ (weights * phi_im)
-        residue = 2.0 * kernel @ (weights * phi_re)
-
-    worst = float(np.max(np.abs(residue))) if residue.size else 0.0
-    if worst >= _RESIDUE_LIMIT:
-        raise QuadratureError(f"imaginary residue {worst:.3e} exceeds {_RESIDUE_LIMIT}")
+    x_arr = _x_array(xs)
+    [(psi_re, residue)] = _transform([state], x_arr, cfg)
     values = tuple(complex(r, i) for r, i in zip(psi_re, residue))
     return Grid("x", tuple(float(x) for x in x_arr), values)
 
@@ -192,14 +321,13 @@ def nongaussianity_k(alpha, ks: Sequence[float]) -> Grid:
 def nongaussianity_x(alpha, xs: Sequence[float], cfg: QuadratureConfig) -> Grid:
     """1 - psi0_alpha(x) / psi0_2(x) under one shared transform convention.
 
-    Points where |psi0_2| falls below 1e-12 of its peak are reported as
-    nan (the ratio is numerically meaningless in the deep tail).
+    Both ground states are even and go through one kernel pass on the same
+    nodes.  Points where |psi0_2| falls below 1e-12 of its peak are
+    reported as nan (the ratio is numerically meaningless in the deep tail).
     """
     a = _as_fraction(alpha)
-    psi_a = inverse_fourier(ground_state(a), xs, cfg)
-    psi_2 = inverse_fourier(ground_state(2), xs, cfg)
-    denom = np.asarray([v.real for v in psi_2.values])
-    numer = np.asarray([v.real for v in psi_a.values])
+    x_arr = _x_array(xs)
+    (numer, _), (denom, _) = _transform([ground_state(a), ground_state(2)], x_arr, cfg)
     peak = float(np.max(np.abs(denom))) if denom.size else 0.0
     out = []
     for num, den in zip(numer, denom):
@@ -207,7 +335,7 @@ def nongaussianity_x(alpha, xs: Sequence[float], cfg: QuadratureConfig) -> Grid:
             out.append(complex(math.nan, 0.0))
         else:
             out.append(complex(1.0 - num / den, 0.0))
-    return Grid("x", psi_a.points, tuple(out))
+    return Grid("x", tuple(float(x) for x in x_arr), tuple(out))
 
 
 __all__ = [

@@ -336,25 +336,104 @@ def crit_closed_form_alpha1(cfg: QuadratureConfig) -> CriterionResult:
     )
 
 
-def _moment_blocks(alpha: Fraction, x: float, modulus: int, dps: int = 60, terms: int = 300) -> list[float]:
+def _mpq(v: Fraction):
+    return mp.mpf(v.numerator) / v.denominator
+
+
+class _Moments:
+    """Ground-state moments M_{q+2j+s}, j = 0, 1, ..., at the precision of first use.
+
+    M_p = integral_0^inf k^p exp(-k^b/b) dk = b^((p+1)/b - 1) Gamma((p+1)/b)
+    for p > -1, b = alpha/2 + 1.  Along j the Gamma argument z_j grows by
+    2/b; with 2/b = L/d in lowest terms, M_{j+d} = M_j b^L z_j (z_j + 1)
+    ... (z_j + L - 1), so only the first d moments need a Gamma call.
+    """
+
+    def __init__(self, b: Fraction, q: Fraction, s: int):
+        self.b, self.q, self.s = b, q, s
+        shift = 2 / b
+        self.period, self.lift = shift.denominator, shift.numerator
+        self.values: list = []
+
+    def __getitem__(self, j: int):
+        while len(self.values) <= j:
+            i, b = len(self.values), self.b
+            if i < self.period:
+                z = _mpq((self.q + 2 * i + self.s + 1) / b)
+                self.values.append(mp.power(_mpq(b), z - 1) * mp.gamma(z))
+            else:
+                z = (self.q + 2 * (i - self.period) + self.s + 1) / b
+                rising = math.prod(z.numerator + k * z.denominator for k in range(self.lift))
+                scale = _mpq(b) ** self.lift * rising / z.denominator**self.lift
+                self.values.append(self.values[i - self.period] * scale)
+        return self.values[j]
+
+
+def _series_terms(moments: _Moments, x) -> list:
+    """Terms (-1)^j x^(2j+s)/(2j+s)! M_{q+2j+s} up to the first below 1e-40 of the largest.
+
+    Cos (s = 0) or sin (s = 1) expanded under the moment integral; the
+    terms may dip before they peak, but never by 40 digits for |x| <= 3.
+    """
+    s, x2, tiny = moments.s, x * x, mp.mpf(10) ** -40
+    power = x**s            # x^(2j+s) / (2j+s)!
+    terms, top, j = [], mp.mpf(0), 0
+    while True:
+        t = power * moments[j]
+        terms.append(-t if j % 2 else t)
+        top = max(top, abs(t))
+        if abs(t) <= tiny * top:
+            return terms
+        power *= x2 / ((2 * j + s + 1) * (2 * j + s + 2))
+        j += 1
+
+
+def _moment_blocks(alpha: Fraction, x: float, modulus: int, dps: int = 60) -> list[float]:
     """Independent oracle: psi0 series moments grouped by residue class.
 
     psi0(x) = 2 sum_j (-1)^j x^(2j)/(2j)! M_{2j} with the ground-state
-    moments M_s = Gamma((s+1)/b) b^((s+1)/b - 1), b = alpha/2 + 1; class
-    m mod ``modulus`` isolates the closed-form table's m-th summand.
+    moments of _Moments; class m mod ``modulus`` isolates the closed-form
+    table's m-th summand.
     """
-    b = mp.mpf(alpha.numerator * 1) / alpha.denominator / 2 + 1
     blocks = [mp.mpf(0)] * modulus
     with mp.workdps(dps):
-        xm = mp.mpf(x)
-        for j in range(terms):
-            s = 2 * j + 1
-            t = (
-                2 * (-1) ** j * xm ** (2 * j) / mp.factorial(2 * j)
-                * mp.gamma(s / b) * mp.power(b, s / b - 1)
-            )
-            blocks[j % modulus] += t
+        moments = _Moments(Fraction(alpha) / 2 + 1, Fraction(0), 0)
+        for j, t in enumerate(_series_terms(moments, mp.mpf(x))):
+            blocks[j % modulus] += 2 * t
     return [float(v) for v in blocks]
+
+
+def _moment_series(alpha: Fraction, n: int, xs: Sequence[float], dps: int = 60) -> list[tuple[float, float]]:
+    """Independent oracle for psi_n: (value, scale) at each x, summed at ``dps`` digits.
+
+    The generalisation of _moment_blocks to every term c k^q (k > 0) of the
+    amplitude that pairs with the kernel: cos for even n (s = 0), sin with
+    the odd fold's factor 2i * i = -2 for odd n (s = 1).  Each term adds
+    2 c sum_j (-1)^j x^(2j+s)/(2j+s)! M_{q+2j+s}.  ``scale`` bounds the
+    integrand's absolute mass by 2 sum |c| M_q, or for odd n by
+    2 sum |c| |x| M_{q+1} (|sin kx| <= |kx|) where that is smaller or M_q
+    diverges.  The series is entire in x, but for small alpha its terms
+    peak late: keep |x| <= 3 above index 1/2 and |x| <= 1 down to 1/5.
+    """
+    alpha = Fraction(alpha)
+    b = alpha / 2 + 1
+    s = n % 2
+    re_amp, im_amp = excited_state(n, alpha).amplitude_parts()
+    terms = [(-t.coeff if s else t.coeff, t.exponent) for t in (im_amp if s else re_amp).terms]
+    out = []
+    with mp.workdps(dps):
+        series = [(_mpq(c), _Moments(b, q, s), _Moments(b, q, 0)) for c, q in terms]
+        for x in xs:
+            xm = mp.mpf(x)
+            value = scale = mp.mpf(0)
+            for c, moments, plain in series:
+                value += c * mp.fsum(_series_terms(moments, xm))
+                bound = plain[0] if plain.q > -1 else mp.inf
+                if s:
+                    bound = min(bound, abs(xm) * moments[0])
+                scale += abs(c) * bound
+            out.append((float(2 * value), float(2 * scale)))
+    return out
 
 
 def crit_closed_form_alpha32(cfg: QuadratureConfig) -> CriterionResult:

@@ -1,10 +1,14 @@
 """Quadrature transform to x space and the non-Gaussianity measures."""
 
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from rfho import transform
 from rfho.spectral import excited_state, ground_state
 from rfho.transform import (
     Grid,
@@ -14,6 +18,7 @@ from rfho.transform import (
     nongaussianity_k,
     nongaussianity_x,
 )
+from rfho.validation import _moment_series
 
 CFG = QuadratureConfig()
 
@@ -138,6 +143,93 @@ class TestNonGaussianity:
         grid = nongaussianity_x(F(2), [0.0, 30.0], CFG)
         assert math.isnan(grid.values[1].real)
         assert grid.values[0] == 0
+
+
+class TestMomentOracle:
+    """Quadrature against the 60-digit moment series, independent of any rule."""
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("alpha", [F(1, 2), F(2, 3), F(13, 17), F(1), F(3, 2), F(2)])
+    def test_matches_moment_series(self, alpha, n):
+        xs = [0.75 * i for i in range(5)]
+        grid = _psi(excited_state(n, alpha), xs)
+        for x, v, (ref, scale) in zip(xs, grid.values, _moment_series(alpha, n, xs)):
+            assert abs(v.real - ref) <= 1e-12 * scale, (x, v.real, ref)
+
+    def test_origin_overflow_refused_or_exact(self):
+        # k**-1.9 overflows at the deepest tanh-sinh nodes before the cut
+        # the state's exponent asks for; a larger cutoff clears the tail bound
+        cfg = QuadratureConfig(k_cutoff=32.0)
+        xs = [0.0, 0.5, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                grid = _psi(excited_state(3, F(1, 5)), xs, cfg)
+            except QuadratureError as exc:
+                assert "next to k=0" in str(exc)
+                grid = None
+            # the even neighbour's k**-0.9 stays finite and is kept
+            even = _psi(excited_state(2, F(1, 5)), xs, cfg)
+        checks = [(2, even)] + ([(3, grid)] if grid is not None else [])
+        for n, g in checks:
+            for x, v, (ref, scale) in zip(xs, g.values, _moment_series(F(1, 5), n, xs)):
+                assert math.isfinite(v.real) and abs(v.real - ref) <= 1e-12 * scale
+
+
+class TestRowBlocks:
+    BLOCK = transform._BLOCK_ROWS
+
+    @pytest.mark.parametrize("n,top", [(2, 4001), (3, 2 * BLOCK + 1)])
+    def test_blocks_equal_dense_kernel(self, n, top):
+        # tolerance 1e-15 of the integrand's mass: the blocks change only
+        # which rows share a BLAS call, not the terms of any sum
+        state = excited_state(n, F(1, 2))
+        nodes, weights = transform._nodes_and_weights(CFG)
+        part = transform._integrand(state, nodes, weights, 39.0)
+        start = transform._first_node([state], [part], nodes)
+        nodes, column = nodes[start:], part.value[start:]
+        trig = np.sin if n % 2 else np.cos
+        for size in (1, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, top):
+            xs = np.linspace(-39.0, 39.0, size) if size > 1 else np.array([0.7])
+            blocked = transform._fourier_sums(xs, nodes, [column], n % 2 == 1)[0]
+            kernel = np.outer(xs, nodes)
+            dense = 2 * (trig(kernel, out=kernel) @ column)
+            assert np.max(np.abs(blocked - dense)) <= 1e-15 * part.mass
+
+    def test_memory_is_one_block(self):
+        xs = list(np.linspace(-39.0, 39.0, 2001))
+        for run in (
+            lambda: _psi(excited_state(3, F(3, 2)), xs),
+            lambda: nongaussianity_x(F(1, 2), xs, CFG),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 2**20
+
+
+class TestSharedPass:
+    def test_equals_separate_transforms(self):
+        xs = [i * 0.25 - 6.0 for i in range(49)]
+        mass_2 = _psi(ground_state(F(2)), [0.0]).values[0].real
+        for alpha in (F(1, 2), F(1), F(7, 4)):
+            mass_a = _psi(ground_state(alpha), [0.0]).values[0].real
+            psi_a = _psi(ground_state(alpha), xs).values
+            psi_2 = _psi(ground_state(F(2)), xs).values
+            shared = nongaussianity_x(alpha, xs, CFG).values
+            for a, g, v in zip(psi_a, psi_2, shared):
+                ratio = a.real / g.real
+                tol = 1e-15 * (mass_a + abs(ratio) * mass_2) / abs(g.real)
+                assert abs(v.real - (1 - ratio)) <= tol
+
+    def test_index2_zero_across_blocks(self):
+        xs = [i * 0.05 - 8.0 for i in range(321)]
+        grid = nongaussianity_x(F(2), xs, CFG)
+        assert all(v == 0 for v in grid.values if not math.isnan(v.real))
+        assert sum(v == 0 for v in grid.values) > 200
 
 
 def test_determinism():
