@@ -15,9 +15,11 @@ the classical Hermite polynomials (see ``standard_reduction``).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .kterms import ALPHA, AlphaPoly, FracExponent, KExpr, KTerm
 
@@ -64,27 +66,38 @@ def rf_hermite(n: int) -> RFHermite:
     return ladder_next(rf_hermite(n - 1))
 
 
-def rodrigues(n: int) -> RFHermite:
-    """Independent generation of H_n from the weight exp(-W), W = 2|k|**(a/2+1)/(a/2+1).
+def _weight_factors(n: int) -> Iterator[KExpr]:
+    """G_0..G_n in exp(W) d^m/dk^m exp(-W) = G_m, W = 2|k|**(a/2+1)/(a/2+1), one at a time.
 
-    Computes (-1)**n * exp(W) * d^n/dk^n exp(-W) by accumulating the
-    algebraic factor G_n in exp(W) d^n/dk^n exp(-W) = G_n:
-
-        G_0 = 1,   G_{n+1} = G_n' + G_n * (-W')
-
-    No sgn(k)**n prefactor is applied: with it, n = 1 would give
-    2|k|**(a/2) instead of the ladder's 2 sgn(k)|k|**(a/2).  Agreement
-    with the ladder output is a structural identity of the family,
-    exercised by the validation suite.
+        G_0 = 1,   G_{m+1} = G_m' + G_m * (-W')
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
     g = KExpr.one()
+    yield g
     for _ in range(n):
         g = g.differentiate() + g * _MINUS_W_PRIME
-    if n % 2:
-        g = -g
-    return RFHermite(n, g)
+        yield g
+
+
+def rodrigues_family(n: int) -> list[RFHermite]:
+    """Independent generation of H_0..H_n from the weight exp(-W), in one pass.
+
+    H_m = (-1)**m * exp(W) * d^m/dk^m exp(-W) = (-1)**m G_m.  No sgn(k)**m
+    prefactor is applied: with it, m = 1 would give 2|k|**(a/2) instead of
+    the ladder's 2 sgn(k)|k|**(a/2).  Agreement with the ladder output is
+    a structural identity of the family, exercised by the validation suite.
+    """
+    return [RFHermite(m, -g if m % 2 else g) for m, g in enumerate(_weight_factors(n))]
+
+
+def rodrigues(n: int) -> RFHermite:
+    """H_n from the weight exp(-W): the last member of ``rodrigues_family(n)``.
+
+    Walks the same recurrence but keeps only the current factor.
+    """
+    g = deque(_weight_factors(n), maxlen=1)[0]
+    return RFHermite(n, -g if n % 2 else g)
 
 
 def extract_p_coefficients(h: RFHermite) -> list[AlphaPoly]:
@@ -171,5 +184,6 @@ __all__ = [
     "leading_term_checks",
     "rf_hermite",
     "rodrigues",
+    "rodrigues_family",
     "standard_reduction",
 ]

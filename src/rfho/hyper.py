@@ -17,15 +17,23 @@ table mixes large Gamma values with tiny rational prefactors, and the
 series themselves alternate, so double precision would shed digits to
 cancellation.  Public entry points return floats.
 
-``pfq_mp`` forms each term ratio from Python ints (the parameters scaled
-by the lcm of their denominators) and stops on a ratio tail bound in the
-spirit of Johansson, "Computing hypergeometric functions rigorously"
-(arXiv:1606.06977): a float bound r_n on all later term ratios, and the
-geometric tail |term_n| r_n/(1 - r_n) below mp.eps of the partial sum.
-A cancellation guard re-sums once at higher precision when the largest
-term exceeds the sum by more than all but 20 of the working digits
-(index 1 beyond x of about 5.25).  Coefficients a_{2m} are cached per
-(index, power, precision).
+``pfq_mp`` sums in fixed point (Brent & Zimmermann, *Modern Computer
+Arithmetic*, 2010, sec. 4.4): terms and partial sum are Python ints
+scaled by 2**wp, wp = mp.prec + 32 guard bits, and z is rounded to that
+grid once.  Each step is term = (term * Z >> wp) * top(n) // bottom(n),
+with top and bottom Python ints (the parameters scaled by the lcm of
+their denominators), so a step costs two integer products, a shift and
+one integer division instead of four normalised mpf operations.  The sum
+becomes an mpf once, at the end.  Per spec, top(n), bottom(n) and the
+z-free factor of the tail bound are kept in tables that are built on
+first use and doubled on demand.  Summation stops on a ratio tail bound
+in the spirit of Johansson, "Computing hypergeometric functions
+rigorously" (arXiv:1606.06977): a float bound r_n on all later term
+ratios, and the geometric tail |term_n| r_n/(1 - r_n) below mp.eps of
+the partial sum.  A cancellation guard re-sums once at higher precision
+when the largest term exceeds the sum by more than all but 20 of the
+working digits (index 1 beyond x of about 5.25).  Coefficients a_{2m}
+are cached per (index, power, precision); no series value is.
 """
 
 from __future__ import annotations
@@ -33,16 +41,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .kterms import _as_fraction
-
-
-class PoleError(ValueError):
-    """Gamma evaluated at a non-positive integer."""
 
 
 class ConvergenceError(RuntimeError):
@@ -53,21 +58,11 @@ class UnsupportedAlpha(ValueError):
     """No closed-form table exists for this stability index."""
 
 
-def gamma(z) -> float:
-    """Gamma function for real arguments, poles mapped to PoleError.
-
-    Relative accuracy is that of the platform gamma (well under 1e-13 on
-    (-5, 20), negative half-axis included via its internal reflection).
-    """
-    zf = float(z)
-    if zf <= 0 and zf == int(zf):
-        raise PoleError(f"gamma pole at {z}")
-    return math.gamma(zf)
-
-
 _TERM_CAP = 10_000
 _SPARE_DIGITS = 20    # fewer digits than this left after cancellation: re-sum
 _GUARD_DIGITS = 10    # extra digits of the re-sum beyond those lost
+_GUARD_BITS = 32      # fixed-point bits beyond the working precision
+_FIRST_TABLE = 32     # table length built on first use; doubled on demand
 
 
 @dataclass(frozen=True)
@@ -92,39 +87,57 @@ class PFQSpec:
         scale = mp.mpf(self.argument_scale.numerator) / self.argument_scale.denominator
         return scale * mp.mpf(x) ** self.argument_power
 
+    @cached_property
+    def _steps(self) -> _Steps:
+        # kept on the instance: a cache keyed by the spec would hash its
+        # Fractions on every call, a sixth of a short series' time
+        return _Steps(self)
 
-@dataclass(frozen=True)
+
 class _Steps:
-    """Integer term ratios and float tail-bound data for one spec.
+    """Integer term ratios and tail-bound factors for one spec.
 
     With D the lcm of all parameter denominators, a + n = (D*a + n*D)/D,
     so term_{n+1}/term_n = z * top(n) / bottom(n) with Python-int top and
-    bottom.  ``pairs`` and ``extras`` feed ``bound``.
+    bottom.  ``pairs`` and ``extras`` feed ``factor``, the z-free part of
+    the tail bound.  The three per-step tables are built on first use and
+    grown on demand; each growth replaces them in one assignment, so
+    concurrent readers see either the old tables or the new.
     """
 
-    lcm: int
-    tops: tuple[int, ...]
-    bottoms: tuple[int, ...]
-    top_scale: int
-    bottom_scale: int
-    pairs: tuple[tuple[float, float], ...]
-    extras: tuple[float, ...]
+    def __init__(self, spec: PFQSpec) -> None:
+        nums = [Fraction(a) for a in spec.numerator_params]
+        dens = [Fraction(b) for b in spec.denominator_params]
+        d = math.lcm(*(v.denominator for v in nums + dens))
+        p, q = len(nums), len(dens)
+        self.lcm = d
+        self.top_params = tuple(int(a * d) for a in nums)
+        self.bottom_params = tuple(int(b * d) for b in dens)
+        self.top_scale = d ** (q - p) if q >= p else 1
+        self.bottom_scale = d if p > q else 1
+        # each |a| is paired with one denominator parameter, the factorial's
+        # (n+1) counting as b = 1; p <= q + 1 leaves no |a| unpaired
+        abs_a = sorted((abs(float(a)) for a in nums), reverse=True)
+        bs = sorted((float(b) for b in dens + [Fraction(1)]), reverse=True)
+        self.pairs = tuple(zip(abs_a, bs))
+        self.extras = tuple(bs[p:])
+        self._tables: tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]] = ((), (), ())
 
     def top(self, n: int) -> int:
         out = self.top_scale
-        for a in self.tops:
+        for a in self.top_params:
             out *= a + n * self.lcm
         return out
 
     def bottom(self, n: int) -> int:
         out = self.bottom_scale * (n + 1)
-        for b in self.bottoms:
+        for b in self.bottom_params:
             out *= b + n * self.lcm
         return out
 
-    def bound(self, n: int, zabs: float) -> float:
-        """r_n >= sup_{m >= n} |term_{m+1}/term_m|, inf while some b + n <= 0."""
-        r = zabs
+    def factor(self, n: int) -> float:
+        """r_n / |z|; inf while some b + n <= 0."""
+        r = 1.0
         for a, b in self.pairs:
             if b + n <= 0:
                 return math.inf
@@ -136,42 +149,50 @@ class _Steps:
             r /= b + n
         return r
 
+    def bound(self, n: int, zabs: float) -> float:
+        """r_n >= sup_{m >= n} |term_{m+1}/term_m|, inf while some b + n <= 0."""
+        f = self.factor(n)
+        # inf * 0 is nan, so an infinite factor stays inf at z = 0
+        return f if f == math.inf else zabs * f
 
-@lru_cache(maxsize=128)
-def _steps(spec: PFQSpec) -> _Steps:
-    nums = [Fraction(a) for a in spec.numerator_params]
-    dens = [Fraction(b) for b in spec.denominator_params]
-    d = math.lcm(*(v.denominator for v in nums + dens))
-    p, q = len(nums), len(dens)
-    # each |a| is paired with one denominator parameter, the factorial's
-    # (n+1) counting as b = 1; p <= q + 1 leaves no |a| unpaired
-    abs_a = sorted((abs(float(a)) for a in nums), reverse=True)
-    bs = sorted((float(b) for b in dens + [Fraction(1)]), reverse=True)
-    return _Steps(
-        lcm=d,
-        tops=tuple(int(a * d) for a in nums),
-        bottoms=tuple(int(b * d) for b in dens),
-        top_scale=d ** (q - p) if q >= p else 1,
-        bottom_scale=d if p > q else 1,
-        pairs=tuple(zip(abs_a, bs)),
-        extras=tuple(bs[p:]),
-    )
+    def tables(self, size: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
+        """(top, bottom, factor) tables covering at least n < size."""
+        tops, bottoms, factors = self._tables
+        if len(factors) < size:
+            grow = range(len(factors), size)
+            tops += tuple(self.top(n) for n in grow)
+            bottoms += tuple(self.bottom(n) for n in grow)
+            factors += tuple(self.factor(n) for n in grow)
+            self._tables = (tops, bottoms, factors)
+        return tops, bottoms, factors
 
 
 def _sum_series(steps: _Steps, z: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
-    """(sum, largest |term|) at the current working precision."""
+    """(sum, largest |term|) at the current working precision.
+
+    Terms and the partial sum are Python ints scaled by 2**wp, wp =
+    mp.mp.prec + _GUARD_BITS; z is rounded to that grid once.  The stopping
+    test |term| r/(1 - r) <= eps |sum| is made exactly in integers.
+    """
+    prec = mp.mp.prec
+    wp = prec + _GUARD_BITS
+    zfix = to_fixed(z._mpf_, wp)
     zabs = float(abs(z))
-    term = mp.mpf(1)
-    total = mp.mpf(1)
-    largest = mp.mpf(1)
+    term = total = largest = 1 << wp
+    tops, bottoms, factors = steps.tables(_FIRST_TABLE)
     for n in range(_TERM_CAP):
-        r = steps.bound(n, zabs)
+        if n == len(factors):
+            tops, bottoms, factors = steps.tables(min(2 * n, _TERM_CAP))
         mag = abs(term)
         if mag > largest:
             largest = mag
-        if r < 1 and mag * (r / (1 - r)) <= mp.eps * abs(total):
-            return total, largest
-        term = term * z * steps.top(n) / steps.bottom(n)
+        # an infinite factor gives nan at z = 0, which fails r < 1 as inf does
+        r = zabs * factors[n]
+        if r < 1:
+            num, den = (r / (1 - r)).as_integer_ratio()
+            if mag * num << (prec - 1) <= abs(total) * den:
+                return mp.mpf((total, -wp)), mp.mpf((largest, -wp))
+        term = (term * zfix >> wp) * tops[n] // bottoms[n]
         total += term
     raise ConvergenceError(
         f"no convergence within {_TERM_CAP} terms (|z| = {zabs:.3g})"
@@ -183,15 +204,19 @@ def pfq_mp(spec: PFQSpec, x, dps: int = 40) -> mp.mpf:
 
     term_{n+1} = term_n * prod(a+n)/prod(b+n) * z/(n+1), with the ratio
     formed from Python ints (parameters scaled by the lcm of their
-    denominators).  Before each step a float bound r_n on every later
-    term ratio is formed from the parameters; summation stops once r_n < 1
+    denominators).  Terms and the partial sum are fixed-point ints with
+    wp = mp.prec + 32 bits below the binary point: the truncation of up
+    to 10,000 steps, under 2**14 units of the last place, stays in the
+    guard bits.  top(n), bottom(n) and the z-free factor of a float bound
+    r_n on every later term ratio come from per-spec tables, built on
+    first use and doubled on demand; summation stops once r_n < 1
     and the geometric tail |term_n| r_n/(1 - r_n) is at most mp.eps times
     the partial sum, and raises ConvergenceError at the 10,000-term cap.
     Cancellation guard: if the largest |term| exceeds the sum by so much
     that fewer than 20 digits survive, the series is summed once more at
     dps + (digits lost) + 10 and rounded back to dps.
     """
-    steps = _steps(spec)
+    steps = spec._steps
     with mp.workdps(dps):
         z = spec.argument(x)
         if len(spec.numerator_params) == len(spec.denominator_params) + 1 and abs(z) >= 1:
@@ -429,12 +454,10 @@ __all__ = [
     "ClosedFormTerm",
     "ConvergenceError",
     "PFQSpec",
-    "PoleError",
     "UnsupportedAlpha",
     "closed_form_psi0",
     "closed_form_term_values",
     "eval_closed_form",
-    "gamma",
     "gaussian_via_pfq",
     "pfq",
     "pfq_mp",

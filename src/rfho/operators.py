@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .kterms import FixedKExpr, _as_fraction
 from .spectral import KState, half_turn, phase_split
@@ -157,14 +157,6 @@ def _push_through(dorder: Fraction, xpow: int) -> tuple[tuple[Fraction, int, Fra
     for c, a, b in out:
         acc[(a, b)] = acc.get((a, b), Fraction(0)) + c
     return tuple((c, a, b) for (a, b), c in sorted(acc.items()) if c != 0)
-
-
-def normal_order(product: Sequence[OpWord]) -> OpExpr:
-    """Normal-order a left-to-right product of words into a canonical OpExpr."""
-    result = OpExpr.word(1, 0, 0)
-    for w in product:
-        result = result * OpExpr.from_words([w])
-    return result
 
 
 def _positive_order(value) -> Fraction:
@@ -371,7 +363,6 @@ __all__ = [
     "compose_factorization",
     "fourier_remainder",
     "lowering_op",
-    "normal_order",
     "oscillator_op",
     "raising_op",
     "remainder_forward_closed",

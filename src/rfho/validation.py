@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 
-from .hermite import rf_hermite, rodrigues, standard_reduction
+from .hermite import rf_hermite, rodrigues_family, standard_reduction
 from .hyper import closed_form_psi0, closed_form_term_values, eval_closed_form, gaussian_via_pfq
 from .kterms import ALPHA, AlphaPoly, KExpr
 from .operators import (
@@ -85,8 +85,9 @@ def _default_family(n_max: int = N_MAX) -> list[KExpr]:
 
 def crit_ladder_rodrigues(family: Sequence[KExpr] | None = None) -> CriterionResult:
     exprs = list(family) if family is not None else _default_family()
-    for n, expr in enumerate(exprs):
-        if expr != rodrigues(n).expr:
+    weights = rodrigues_family(len(exprs) - 1) if exprs else []
+    for n, (expr, h) in enumerate(zip(exprs, weights)):
+        if expr != h.expr:
             return _result(
                 "ladder-rodrigues", False,
                 f"ladder and weight-derivative forms differ at n={n}",

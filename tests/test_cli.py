@@ -251,6 +251,19 @@ class TestInputContract:
         assert captured.err.splitlines()[-1].startswith(f"rfho {argv[0]}: ")
 
     @pytest.mark.parametrize("cmd", [
+        ["nongauss", "--alpha", "1/2"],
+        ["state", "--n", "1", "--alpha", "3/2"],
+    ])
+    def test_x_beyond_reach_exits_1(self, capsys, cmd):
+        code = main([*cmd, "--space", "x", "--grid=-1e6:1e6:3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"rfho {cmd[0]}: ")
+        assert "reach" in captured.err
+
+    @pytest.mark.parametrize("cmd", [
         ["state", "--n", "3"],
         ["eigenvalue", "--n", "3"],
         ["nongauss"],

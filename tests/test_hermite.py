@@ -13,6 +13,7 @@ from rfho.hermite import (
     leading_term_checks,
     rf_hermite,
     rodrigues,
+    rodrigues_family,
     standard_reduction,
 )
 from rfho.kterms import AlphaPoly, KExpr
@@ -38,6 +39,16 @@ def test_first_three_members():
 def test_ladder_equals_rodrigues():
     for n in range(11):
         assert rf_hermite(n).expr == rodrigues(n).expr
+
+
+def test_rodrigues_family_is_one_pass_of_members():
+    family = rodrigues_family(10)
+    assert [h.n for h in family] == list(range(11))
+    assert [h.expr for h in family] == [rf_hermite(n).expr for n in range(11)]
+    assert rodrigues(10) == family[-1]
+    assert rodrigues_family(0) == [RFHermite(0, KExpr.one())]
+    with pytest.raises(ValueError):
+        rodrigues_family(-1)
 
 
 def test_ladder_next_increments_index():

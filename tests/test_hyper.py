@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 from rfho.hyper import (
     _GAUSS_A,
     _GAUSS_B,
-    _steps,
     ConvergenceError,
     PFQSpec,
-    PoleError,
     UnsupportedAlpha,
     closed_form_psi0,
     closed_form_term_values,
     eval_closed_form,
-    gamma,
     gaussian_via_pfq,
     pfq,
     pfq_mp,
@@ -35,17 +32,6 @@ PSI0_INDEX1 = {
 }
 
 A0_INDEX32 = 2.452450321319681370001226
-
-
-def test_gamma_basic():
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma(5) == 24.0
-
-
-def test_gamma_poles():
-    for z in (0, -1, -3):
-        with pytest.raises(PoleError):
-            gamma(z)
 
 
 def test_spec_validation():
@@ -159,6 +145,30 @@ def test_pfq_mp_matches_60_digit_hyper(spec):
         assert abs(ours - ref) <= mp.mpf("1e-25") * abs(ref), (spec, x)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_pfq_mp_full_working_precision(spec):
+    # the fixed-point sum keeps all 40 working digits where the series
+    # cancels; summed term by term in mpf, the worst case here lost 7
+    for i in range(17):
+        x = 0.25 * i
+        ours = pfq_mp(spec, x, dps=40)
+        ref = _mp_reference(spec, x)
+        assert abs(ours - ref) <= mp.mpf("1e-36") * abs(ref), (spec, x)
+
+
+# b = -5/2: the tail bound is infinite for n = 0, 1, 2, and inf * |z| is
+# nan at z = 0
+_NEGATIVE_B = PFQSpec((F(1, 3),), (F(-5, 2),), F(-1), 1)
+
+
+def test_negative_denominator_parameter():
+    assert pfq_mp(_NEGATIVE_B, 0.0) == 1
+    assert _NEGATIVE_B._steps.bound(0, 0.0) == math.inf
+    with mp.workdps(60):
+        ref = mp.hyp1f1(mp.mpf(1) / 3, mp.mpf(-5) / 2, -1)
+    assert abs(pfq_mp(_NEGATIVE_B, 1.0) - ref) <= mp.mpf("1e-36") * abs(ref)
+
+
 # p = q + 1 with every |a| below its b: the term ratio rises towards |z|
 # with n, so its supremum is not reached at the current step
 _RISING_RATIO = PFQSpec((F(1, 2), F(1, 3)), (F(2),), F(1, 8), 1)
@@ -168,7 +178,7 @@ _RISING_RATIO = PFQSpec((F(1, 2), F(1, 3)), (F(2),), F(1, 8), 1)
 def test_tail_bound_dominates_later_ratios(spec):
     # r_n must bound |term_{m+1}/term_m| for every m >= n; checked exactly
     # on a window of later m at a few arguments
-    steps = _steps(spec)
+    steps = spec._steps
     for x in (0.5, 2.0, 4.0):
         z = F(spec.argument_scale) * F(x) ** spec.argument_power
         for n in range(0, 40, 3):

@@ -103,6 +103,17 @@ class TestGuards:
         with pytest.raises(QuadratureError):
             _psi(excited_state(4, F(1)), [0.0])
 
+    def test_x_beyond_reach_refused(self):
+        # |x| * panel width may reach 8: |x| = 64 on the default rule
+        inverse_fourier(ground_state(F(1)), [-64.0, 0.0, 64.0], CFG)
+        for state in (ground_state(F(1)), excited_state(1, F(3, 2))):
+            with pytest.raises(QuadratureError, match="reach"):
+                inverse_fourier(state, [0.0, 200.0], CFG)
+        with pytest.raises(QuadratureError, match="reach"):
+            nongaussianity_x(F(1, 2), [-200.0, 0.0], CFG)
+        # halving the panels doubles the reach
+        inverse_fourier(ground_state(F(1)), [128.0], QuadratureConfig(panel_count=400))
+
     def test_index2_polynomial_states_fine_at_n4(self):
         grid = _psi(excited_state(4, F(2)), [0.0])
         assert grid.values[0].real == pytest.approx(12 * SQRT_2PI, rel=1e-10)
