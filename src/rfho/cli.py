@@ -1,7 +1,8 @@
 """Command line front end: polynomial tables, state and eigenvalue samples,
 remainder-operator dumps, non-Gaussianity curves, and the verification suite.
 
-Exit codes: 0 success, 1 computation or verification failure, 2 usage error.
+Exit codes: 0 success, 1 computation or verification failure, 2 usage error
+or an --out path that cannot be written.
 Rationals are passed as "p/q" strings so exactness survives the boundary.
 """
 
@@ -36,6 +37,8 @@ from .validation import run_all
 
 #: largest --n any subcommand accepts
 MAX_N = 20
+#: largest --grid count any subcommand accepts
+MAX_POINTS = 1_000_000
 
 
 def _rational(text: str) -> Fraction:
@@ -66,8 +69,8 @@ def _grid(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError(f"expected min:max:count, got {text!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise argparse.ArgumentTypeError("grid ends must be finite")
-    if count < 2:
-        raise argparse.ArgumentTypeError("grid count must be at least 2")
+    if not 2 <= count <= MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"grid count must lie in 2..{MAX_POINTS}")
     if not lo < hi:
         raise argparse.ArgumentTypeError("grid min must be below max")
     return GridSpec(lo, hi, count)
@@ -322,6 +325,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"rfho {args.command}: {exc}", file=sys.stderr)
     except OverflowError:
         print(f"rfho {args.command}: numeric overflow; use a narrower grid", file=sys.stderr)
+    except OSError as exc:
+        if args.out is None:
+            raise
+        print(f"rfho {args.command}: cannot write {args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     return 1
 
 

@@ -16,25 +16,28 @@ structurally zero.  The imaginary residue is still assembled from the
 structurally-zero component and asserted below 1e-12.
 
 Quadrature: panel_count uniform panels of width h = K / panel_count cover
-[0, K].  The amplitudes carry |k|**q singularities at the origin
-(integrable after the parity factor softens them to k**p, p > -1), so the
-first panel [0, h] uses a tanh-sinh rule, whose nodes crowd double
-exponentially towards k = 0; the other panels use Gauss-Legendre.  The
-tanh-sinh panel is cut on the left where the mass of the dropped sliver
-[0, k0], bounded by the state's coefficient sum times k0**(p+1) / (p+1),
-falls below 1e-17 of the integrand's absolute mass.  Where the raw
-amplitude overflows at the deepest nodes, the cut moves up to the first
-node whose value is finite, and the transform is refused if the dropped
-mass bound then exceeds 1e-16 of that mass.  The truncation tail
-exp(-K**e / e), e = alpha/2 + 1, must sit below 1e-16, which the default
-cutoff K = 25 guarantees for alpha >= 1.
+[0, K].  The cutoff K is derived from the index: it is the smallest
+integer K >= 25 whose ground-state tail exp(-K**e / e), e = alpha/2 + 1,
+is below 1e-16.  That is K = 25 for every alpha >= 0.35, 26 at 1/3, 29
+at 1/5, 33 at 1/10 and 37 as alpha -> 0; a shared pass over several
+states uses the largest K among them.  The amplitudes carry |k|**q
+singularities at the origin (integrable after the parity factor softens
+them to k**p, p > -1), so the first panel [0, h] uses a tanh-sinh rule,
+whose nodes crowd double exponentially towards k = 0; the other panels
+use 16-node Gauss-Legendre.  The tanh-sinh panel is cut on the left
+where the mass of the dropped sliver [0, k0], bounded by the state's
+coefficient sum times k0**(p+1) / (p+1), falls below 1e-17 of the
+integrand's absolute mass.  Where the raw amplitude overflows at the
+deepest nodes, the cut moves up to the first node whose value is finite,
+and the transform is refused if the dropped mass bound then exceeds
+1e-16 of that mass.
 
 Reach: a Gauss-Legendre panel of width h resolves cos(kx) only while
 |x| h is small, so a transform is refused when some |x| h exceeds 8,
-that is |x| > 64 on the default rule (128 with panel_count doubled).
-Up to x = 64 the states n = 0, 1 at indices 1/2, 1 and 3/2 agree with an
-800-panel rule to 1e-16 of their peak; at x = 100 they are off by 7e-14
-and at x = 200 by 1e-8.
+that is |x| > 64 at K = 25 with 200 panels (128 with panel_count
+doubled, 55.2 at index 1/5).  Up to x = 64 the states n = 0, 1 at
+indices 1/2, 1 and 3/2 agree with an 800-panel rule to 1e-16 of their
+peak; at x = 100 they are off by 7e-14 and at x = 200 by 1e-8.
 
 The cos/sin kernel is never held whole: the sums run over blocks of 128
 x rows, so the transform's working memory is one block of 128 x nodes
@@ -44,9 +47,7 @@ floats (3.3 MB on the default rule), whatever the grid size.
 from __future__ import annotations
 
 import math
-import re as _re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -57,16 +58,22 @@ from .spectral import KState, ground_state
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature self-checks failed (residue, inadequate cutoff, or origin overflow)."""
+    """A transform was refused: the state is not integrable at k = 0 or
+    overflows there, some |x| is beyond the rule's reach, or the imaginary
+    residue exceeds 1e-12."""
 
 
-_REFERENCE_MIN_ALPHA = Fraction(1)
+#: ground-state mass the cutoff may leave beyond it
 _TAIL_LIMIT = 1e-16
+#: smallest cutoff; every index >= 0.35 meets _TAIL_LIMIT there
+_MIN_CUTOFF = 25
+#: Gauss-Legendre nodes on each panel after the first
+_GL_NODES = 16
 _RESIDUE_LIMIT = 1e-12
 #: share of the integrand's absolute mass the origin cut aims to drop, and may drop at most
 _DROP_TARGET = 1e-17
 _DROP_LIMIT = 1e-16
-#: largest |x| * panel width the rule resolves: 64 at the default width 1/8
+#: largest |x| * panel width the rule resolves: 64 at the width 1/8 of K = 25, 200 panels
 _REACH = 8.0
 #: x rows whose cos/sin kernel is held at once
 _BLOCK_ROWS = 128
@@ -97,45 +104,30 @@ class Grid:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Truncated-domain panel quadrature settings.
+    """Panel quadrature settings: the number of panels covering [0, K].
 
-    panel_count uniform panels cover [0, k_cutoff].  The first, next to
-    the origin singularity, is a tanh-sinh panel of 77 nodes cut on the
-    left per state; the others use the Gauss-Legendre rule "gl<n>" with n
-    nodes each.  The default rule has 77 + 199 * 16 = 3261 nodes, and
-    doubling panel_count halves every panel.  Constructed configs are
-    validated against the documented minimum index 1; per-transform the
-    actual index is re-checked.
+    The cutoff K follows from the states' index (see the module
+    docstring).  The first panel, next to the origin singularity, is a
+    tanh-sinh panel of 77 nodes cut on the left per state; each other
+    panel has 16 Gauss-Legendre nodes.  The default rule has
+    77 + 199 * 16 = 3261 nodes, and doubling panel_count halves every
+    panel.
     """
 
-    k_cutoff: float = 25.0
     panel_count: int = 200
-    rule: str = "gl16"
 
     def __post_init__(self) -> None:
-        if not self.k_cutoff > 0:
-            raise ValueError("cutoff must be positive")
         if self.panel_count < 1:
             raise ValueError("panel count must be positive")
-        if not _re.fullmatch(r"gl([2-9]|[1-5][0-9]|6[0-4])", self.rule):
-            raise ValueError("rule must be 'gl<n>' with 2 <= n <= 64")
-        if self.tail_bound(_REFERENCE_MIN_ALPHA) >= _TAIL_LIMIT:
-            raise ValueError(
-                f"cutoff {self.k_cutoff} leaves a truncation tail above {_TAIL_LIMIT}"
-            )
 
-    @property
-    def panel_width(self) -> float:
-        return self.k_cutoff / self.panel_count
 
-    @property
-    def nodes_per_panel(self) -> int:
-        return int(self.rule[2:])
-
-    def tail_bound(self, alpha) -> float:
-        """Ground-state mass beyond the cutoff: exp(-K**e / e), e = alpha/2 + 1."""
-        e = float(_as_fraction(alpha) / 2 + 1)
-        return math.exp(-self.k_cutoff**e / e)
+def _cutoff(alpha) -> int:
+    """Smallest integer K >= 25 with exp(-K**e / e) < 1e-16, e = alpha/2 + 1."""
+    e = float(_as_fraction(alpha) / 2 + 1)
+    k = _MIN_CUTOFF
+    while math.exp(-(k**e) / e) >= _TAIL_LIMIT:
+        k += 1
+    return k
 
 
 def _tanh_sinh(width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -151,13 +143,13 @@ def _tanh_sinh(width: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _nodes_and_weights(cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    width = cfg.panel_width
-    base_x, base_w = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
-    centers = width * (np.arange(1, cfg.panel_count) + 0.5)
+def _nodes_and_weights(cutoff: int, panel_count: int) -> tuple[np.ndarray, np.ndarray]:
+    width = cutoff / panel_count
+    base_x, base_w = np.polynomial.legendre.leggauss(_GL_NODES)
+    centers = width * (np.arange(1, panel_count) + 0.5)
     ts_nodes, ts_weights = _tanh_sinh(width)
     nodes = np.concatenate([ts_nodes, (centers[:, None] + width / 2 * base_x).ravel()])
-    weights = np.concatenate([ts_weights, np.tile(width / 2 * base_w, cfg.panel_count - 1)])
+    weights = np.concatenate([ts_weights, np.tile(width / 2 * base_w, panel_count - 1)])
     return nodes, weights
 
 
@@ -284,17 +276,14 @@ def _transform(
     states: Sequence[KState], x_arr: np.ndarray, cfg: QuadratureConfig
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(psi, imaginary residue) of each state, all of one parity, in one kernel pass."""
-    for state in states:
-        if cfg.tail_bound(state.alpha) >= _TAIL_LIMIT:
-            raise QuadratureError(
-                f"cutoff {cfg.k_cutoff} is too small for index {state.alpha}"
-            )
+    cutoff = max(_cutoff(s.alpha) for s in states)
+    width = cutoff / cfg.panel_count
     x_far = float(np.max(np.abs(x_arr))) if x_arr.size else 0.0
-    if x_far * cfg.panel_width > _REACH:
+    if x_far * width > _REACH:
         raise QuadratureError(
-            f"|x| = {x_far:.6g} is beyond the rule's reach |x| <= {_REACH / cfg.panel_width:g}"
+            f"|x| = {x_far:.6g} is beyond the rule's reach |x| <= {_REACH / width:g}"
         )
-    nodes, weights = _nodes_and_weights(cfg)
+    nodes, weights = _nodes_and_weights(cutoff, cfg.panel_count)
     odd = states[0].n % 2 == 1
     x_reach = max(1.0, x_far) if odd else 1.0
     parts = [_integrand(s, nodes, weights, x_reach) for s in states]
@@ -315,10 +304,9 @@ def _transform(
 def inverse_fourier(state: KState, xs: Sequence[float], cfg: QuadratureConfig) -> Grid:
     """Transform a k-space state to the x axis; returns a real-valued Grid.
 
-    Raises QuadratureError when the cutoff is inadequate for the state's
-    index, some |x| lies beyond the rule's reach (|x| * panel width > 8),
-    the state is not integrable at k = 0 or overflows there, or the
-    imaginary residue exceeds 1e-12.
+    Raises QuadratureError when some |x| lies beyond the rule's reach
+    (|x| * panel width > 8), the state is not integrable at k = 0 or
+    overflows there, or the imaginary residue exceeds 1e-12.
     """
     x_arr = _x_array(xs)
     [(psi_re, residue)] = _transform([state], x_arr, cfg)

@@ -2,10 +2,11 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from rfho.cli import main
+from rfho.cli import MAX_POINTS, _grid, main
 
 
 def run(capsys, *argv):
@@ -144,6 +145,16 @@ class TestNonGauss:
         _, data = rows(out)
         assert all(r[1] == 0.0 for r in data)
 
+    def test_x_space_low_index(self, capsys):
+        # index 1/5 needs the cutoff 29; the deep tail is reported as nan
+        code, out = run(capsys, "nongauss", "--alpha", "1/5", "--space", "x",
+                        "--grid=-39:39:79")
+        assert code == 0
+        _, data = rows(out)
+        assert len(data) == 79
+        assert all(math.isfinite(re) or math.isnan(re) for _, re, _ in data)
+        assert all(math.isfinite(re) for x, re, _ in data if abs(x) <= 5)
+
     def test_positive_below_crossing(self, capsys):
         code, out = run(capsys, "nongauss", "--alpha", "1", "--grid", "0.1:1:4")
         assert code == 0
@@ -249,6 +260,32 @@ class TestInputContract:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.splitlines()[-1].startswith(f"rfho {argv[0]}: ")
+
+    def test_grid_count_capped_before_allocation(self, capsys):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["state", "--n", "0", "--alpha", "1", f"--grid=0:1:{10**12}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        assert peak <= 2**20
+        assert str(MAX_POINTS) in capsys.readouterr().err
+        assert _grid(f"0:1:{MAX_POINTS}").count == MAX_POINTS
+
+    @pytest.mark.parametrize("cmd,target", [
+        (["hermite", "--n", "2"], "missing/dir/x.json"),
+        (["state", "--n", "0", "--alpha", "1"], "."),
+    ])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, cmd, target):
+        path = str(tmp_path / target)
+        code = main([*cmd, "--out", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"rfho {cmd[0]}: cannot write {path}: ")
 
     @pytest.mark.parametrize("cmd", [
         ["nongauss", "--alpha", "1/2"],

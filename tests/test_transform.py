@@ -84,20 +84,25 @@ class TestFractionalGround:
                 assert all(v.imag == 0.0 for v in grid.values)
 
 
+class TestCutoff:
+    @pytest.mark.parametrize(
+        "alpha,want", [(F(2), 25), (F(7, 20), 25), (F(1, 3), 26), (F(1, 5), 29), (F(1, 10), 33),
+                       (F(1, 10**9), 37)]
+    )
+    def test_pinned_values(self, alpha, want):
+        assert transform._cutoff(alpha) == want
+        e = float(alpha / 2 + 1)
+        assert math.exp(-(want**e) / e) < 1e-16
+        if want > 25:
+            assert math.exp(-((want - 1) ** e) / e) >= 1e-16
+
+
 class TestGuards:
-    def test_cutoff_too_small_at_construction(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(k_cutoff=3.0)
-
-    def test_rule_name_checked(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rule="simpson")
-        QuadratureConfig(rule="gl8")
-
-    def test_low_index_tail_rejected_per_call(self):
-        # heavier tail than the reference index: exp(-K^1.05/1.05) is too fat
-        with pytest.raises(QuadratureError):
-            _psi(ground_state(F(1, 10)), [0.0])
+    def test_panel_count_checked(self):
+        for bad in (0, -3):
+            with pytest.raises(ValueError):
+                QuadratureConfig(panel_count=bad)
+        QuadratureConfig(panel_count=1)
 
     def test_divergent_state_rejected(self):
         with pytest.raises(QuadratureError):
@@ -113,6 +118,12 @@ class TestGuards:
             nongaussianity_x(F(1, 2), [-200.0, 0.0], CFG)
         # halving the panels doubles the reach
         inverse_fourier(ground_state(F(1)), [128.0], QuadratureConfig(panel_count=400))
+        # index 1/5 needs K = 29, so the reach is 8 * 200 / 29 = 55.2
+        inverse_fourier(ground_state(F(1, 5)), [-55.0, 55.0], CFG)
+        with pytest.raises(QuadratureError, match="reach"):
+            inverse_fourier(ground_state(F(1, 5)), [56.0], CFG)
+        with pytest.raises(QuadratureError, match="reach"):
+            nongaussianity_x(F(1, 5), [56.0], CFG)
 
     def test_index2_polynomial_states_fine_at_n4(self):
         grid = _psi(excited_state(4, F(2)), [0.0])
@@ -167,20 +178,31 @@ class TestMomentOracle:
         for x, v, (ref, scale) in zip(xs, grid.values, _moment_series(alpha, n, xs)):
             assert abs(v.real - ref) <= 1e-12 * scale, (x, v.real, ref)
 
+    @pytest.mark.parametrize(
+        "alpha,n",
+        [(F(1, 3), n) for n in range(4)] + [(F(1, 5), n) for n in range(3)]
+        + [(F(1, 10), n) for n in range(2)],
+    )
+    def test_low_index_matches_moment_series(self, alpha, n):
+        # below index 0.35 the cutoff grows past 25 to keep the tail under 1e-16
+        xs = [0.25 * i for i in range(5)]
+        grid = _psi(excited_state(n, alpha), xs)
+        for x, v, (ref, scale) in zip(xs, grid.values, _moment_series(alpha, n, xs)):
+            assert abs(v.real - ref) <= 1e-12 * scale, (x, v.real, ref)
+
     def test_origin_overflow_refused_or_exact(self):
         # k**-1.9 overflows at the deepest tanh-sinh nodes before the cut
-        # the state's exponent asks for; a larger cutoff clears the tail bound
-        cfg = QuadratureConfig(k_cutoff=32.0)
+        # the state's exponent asks for
         xs = [0.0, 0.5, 1.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                grid = _psi(excited_state(3, F(1, 5)), xs, cfg)
+                grid = _psi(excited_state(3, F(1, 5)), xs)
             except QuadratureError as exc:
                 assert "next to k=0" in str(exc)
                 grid = None
             # the even neighbour's k**-0.9 stays finite and is kept
-            even = _psi(excited_state(2, F(1, 5)), xs, cfg)
+            even = _psi(excited_state(2, F(1, 5)), xs)
         checks = [(2, even)] + ([(3, grid)] if grid is not None else [])
         for n, g in checks:
             for x, v, (ref, scale) in zip(xs, g.values, _moment_series(F(1, 5), n, xs)):
@@ -195,7 +217,7 @@ class TestRowBlocks:
         # tolerance 1e-15 of the integrand's mass: the blocks change only
         # which rows share a BLAS call, not the terms of any sum
         state = excited_state(n, F(1, 2))
-        nodes, weights = transform._nodes_and_weights(CFG)
+        nodes, weights = transform._nodes_and_weights(25, CFG.panel_count)
         part = transform._integrand(state, nodes, weights, 39.0)
         start = transform._first_node([state], [part], nodes)
         nodes, column = nodes[start:], part.value[start:]
