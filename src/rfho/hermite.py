@@ -48,7 +48,13 @@ def ladder_next(h: RFHermite) -> RFHermite:
     return RFHermite(h.n + 1, LADDER_FACTOR * h.expr - h.expr.differentiate())
 
 
-@lru_cache(maxsize=None)
+def _check_index(n: int) -> None:
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("index must be a nonnegative integer")
+
+
+# typed, so that a float such as 2.0 misses the entry for 2 and is refused
+@lru_cache(maxsize=None, typed=True)
 def rf_hermite(n: int) -> RFHermite:
     """n-th generalized Hermite polynomial, built by iterating the ladder from H_0 = 1.
 
@@ -57,8 +63,7 @@ def rf_hermite(n: int) -> RFHermite:
     step from the one before it, and the call depth stays bounded
     whatever n is.
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
+    _check_index(n)
     if n == 0:
         return RFHermite(0, KExpr.one())
     for k in range(1, n - 1):
@@ -71,8 +76,6 @@ def _weight_factors(n: int) -> Iterator[KExpr]:
 
         G_0 = 1,   G_{m+1} = G_m' + G_m * (-W')
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     g = KExpr.one()
     yield g
     for _ in range(n):
@@ -88,6 +91,7 @@ def rodrigues_family(n: int) -> list[RFHermite]:
     the ladder's 2 sgn(k)|k|**(a/2).  Agreement with the ladder output is
     a structural identity of the family, exercised by the validation suite.
     """
+    _check_index(n)
     return [RFHermite(m, -g if m % 2 else g) for m, g in enumerate(_weight_factors(n))]
 
 
@@ -96,6 +100,7 @@ def rodrigues(n: int) -> RFHermite:
 
     Walks the same recurrence but keeps only the current factor.
     """
+    _check_index(n)
     g = deque(_weight_factors(n), maxlen=1)[0]
     return RFHermite(n, -g if n % 2 else g)
 

@@ -10,6 +10,13 @@ away from the origin), and the exponent is encoded by the integer pair
 ``(j, m)``.  Sums, products and d/dk are exact; floating point enters only
 when an expression is evaluated at concrete ``(a, k)``.
 
+``c(a)`` is stored as integer numerators over one positive common
+denominator, ``AlphaPoly(num, den)``, reduced so that gcd(den, *num) == 1
+and with trailing zero numerators stripped (zero is ``((), 1)``).  The
+ladder and Rodrigues builds make only small integers over powers of 2, so
+the algebra runs on Python ints; ``Fraction`` appears only in the derived
+``coeffs`` and in ``eval``.
+
 Exponent keys are structural: (j=2, m=-2) and (j=0, m=0) coincide at a=2
 but stay distinct so the algebra remains generic in ``a``.  Numeric
 coincidences are resolved by ``KExpr.at_alpha``, which substitutes ``a``
@@ -28,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -45,74 +53,110 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _poly(num: list[int], den: int) -> AlphaPoly:
+    """AlphaPoly with numerators ``num`` over ``den`` > 0, put in canonical form.
+
+    Strips trailing zeros and divides out gcd(den, *num); one gcd per result.
+    """
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return _ZERO
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return AlphaPoly(tuple(num), den)
+
+
 @dataclass(frozen=True)
 class AlphaPoly:
-    """Polynomial in the stability index with exact rational coefficients.
+    """Polynomial (num[0] + num[1]*a + num[2]*a**2 + ...) / den in the stability index.
 
-    ``coeffs`` is ordered lowest degree first with trailing zeros stripped;
-    the zero polynomial is the empty tuple.
+    Canonical form: integer numerators ``num`` lowest degree first with
+    trailing zeros stripped, over one common denominator ``den`` > 0, and
+    gcd(den, *num) == 1; the zero polynomial is ``((), 1)``.  Equal
+    polynomials therefore have equal fields, so ``==`` and ``hash`` act on
+    values.  The arithmetic runs on Python ints with one gcd normalisation
+    per result.  Construct through ``of``/``const`` (or the operators) to
+    maintain the form; ``coeffs`` gives the exact rational coefficients.
     """
 
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
 
     @staticmethod
     def of(*values) -> AlphaPoly:
-        cs = [_as_fraction(v) for v in values]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return AlphaPoly(tuple(cs))
+        fs = [_as_fraction(v) for v in values]
+        den = math.lcm(*(f.denominator for f in fs))
+        return _poly([f.numerator * (den // f.denominator) for f in fs], den)
 
     @staticmethod
     def const(value) -> AlphaPoly:
         return AlphaPoly.of(value)
 
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Exact rational coefficients, lowest degree first; empty for the zero polynomial."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> int:
         # degree of the zero polynomial is -1 by convention
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def __add__(self, other: AlphaPoly) -> AlphaPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
+        a, b = self.num, other.num
+        if self.den != other.den:
+            g = math.gcd(self.den, other.den)
+            sa, sb = other.den // g, self.den // g
+            a = [c * sa for c in a]
+            b = [c * sb for c in b]
+            den = self.den * sa
+        else:
+            den = self.den
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
             out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return AlphaPoly.of(*out)
+        return _poly(out, den)
 
     def __neg__(self) -> AlphaPoly:
-        return AlphaPoly(tuple(-c for c in self.coeffs))
+        return AlphaPoly(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other: AlphaPoly) -> AlphaPoly:
         return self + (-other)
 
     def __mul__(self, other: AlphaPoly) -> AlphaPoly:
-        if self.is_zero or other.is_zero:
-            return AlphaPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
+        if not self.num or not other.num:
+            return _ZERO
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return AlphaPoly.of(*out)
+            for j, b in enumerate(other.num, i):
+                out[j] += a * b
+        return _poly(out, self.den * other.den)
 
     def scale(self, factor) -> AlphaPoly:
         f = _as_fraction(factor)
-        if f == 0:
-            return AlphaPoly(())
-        return AlphaPoly(tuple(c * f for c in self.coeffs))
+        return _poly([c * f.numerator for c in self.num], self.den * f.denominator)
 
     def eval(self, alpha: Fraction) -> Fraction:
-        """Exact Horner evaluation."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * alpha + c
-        return acc
+        """Exact value at ``alpha``: integer Horner on its numerator and denominator."""
+        if not self.num:
+            return Fraction(0)
+        p, q = alpha.numerator, alpha.denominator
+        acc, qpow = self.num[-1], 1
+        for c in reversed(self.num[:-1]):
+            qpow *= q
+            acc = acc * p + c * qpow
+        return Fraction(acc, self.den * qpow)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -137,6 +181,8 @@ class AlphaPoly:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
+
+_ZERO = AlphaPoly(())
 
 ALPHA = AlphaPoly.of(0, 1)
 
@@ -277,7 +323,7 @@ class KExpr:
         out = []
         for t in self.terms:
             # multiply by the exponent value j*a/2 + m as a polynomial in a
-            mult = AlphaPoly.of(t.exponent.m, Fraction(t.exponent.j, 2))
+            mult = _poly([2 * t.exponent.m, t.exponent.j], 2)
             out.append(KTerm(t.coeff * mult, (t.sgn_parity + 1) % 2, t.exponent.shift(-1)))
         return KExpr.from_terms(out)
 

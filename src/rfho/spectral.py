@@ -177,6 +177,10 @@ class LocalEigenvalue:
     im_num: KExpr
     den: KExpr
 
+    def __post_init__(self) -> None:
+        if not (0 < self.alpha <= 2):
+            raise ValueError("stability index must lie in (0, 2]")
+
     def eval(self, k: float) -> complex:
         d = self.den.eval(self.alpha, k)
         if d == 0.0:

@@ -37,8 +37,20 @@ def test_first_three_members():
 
 
 def test_ladder_equals_rodrigues():
-    for n in range(11):
-        assert rf_hermite(n).expr == rodrigues(n).expr
+    # up to the largest size the benchmark proves
+    for h in rodrigues_family(40):
+        assert rf_hermite(h.n).expr == h.expr
+        leading_term_checks(h)
+        extract_p_coefficients(h)
+    assert rodrigues(40).expr == rf_hermite(40).expr
+
+
+def test_non_integer_index_refused():
+    rf_hermite(2)
+    for n in (2.5, 2.0, -1):
+        for build in (rf_hermite, rodrigues, rodrigues_family):
+            with pytest.raises(ValueError, match="index must be a nonnegative integer"):
+                build(n)
 
 
 def test_rodrigues_family_is_one_pass_of_members():

@@ -20,6 +20,54 @@ fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 alpha_polys = st.lists(fracs, min_size=0, max_size=4).map(lambda cs: AlphaPoly.of(*cs))
 
+# coefficients with non-dyadic denominators, and scale factors including 0 and 2/7
+coeff_fracs = st.one_of(st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=14))
+scale_factors = st.one_of(
+    st.sampled_from([F(0), F(-1), F(2, 7), F(-3, 2)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+
+
+def _ref(cs: list[F]) -> list[F]:
+    """Plain list-of-Fraction reference: trailing zeros stripped."""
+    out = list(cs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _ref_add(cs: list[F], ds: list[F]) -> list[F]:
+    n = max(len(cs), len(ds))
+    return _ref([(cs[i] if i < len(cs) else 0) + (ds[i] if i < len(ds) else 0) for i in range(n)])
+
+
+def _ref_mul(cs: list[F], ds: list[F]) -> list[F]:
+    out = [F(0)] * max(len(cs) + len(ds) - 1, 0)
+    for i, c in enumerate(cs):
+        for j, d in enumerate(ds):
+            out[i + j] += c * d
+    return _ref(out)
+
+
+def _ref_eval(cs: list[F], a: F) -> F:
+    return sum((c * a ** d for d, c in enumerate(cs)), F(0))
+
+
+def _ref_str(cs: list[F]) -> str:
+    parts = []
+    for d, c in enumerate(cs):
+        if c == 0:
+            continue
+        var = "" if d == 0 else ("a" if d == 1 else f"a^{d}")
+        mag = abs(c)
+        body = str(mag) if not var else (var if mag == 1 else f"{mag}*{var}")
+        parts.append(("-" if c < 0 else "+", body))
+    if not parts:
+        return "0"
+    sign, body = parts[0]
+    return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in parts[1:])
+
+
 monomials = st.tuples(
     fracs,
     st.integers(min_value=0, max_value=1),
@@ -64,6 +112,48 @@ class TestAlphaPoly:
 
     def test_alpha_constant(self):
         assert ALPHA.eval(F(3, 2)) == F(3, 2)
+
+    def test_equal_values_from_different_routes(self):
+        pairs = (
+            (AlphaPoly.of(F(2, 4)), AlphaPoly.of(1) * AlphaPoly.of(F(1, 2))),
+            (AlphaPoly.of(0, 1), AlphaPoly.of(0, F(1, 2)) + AlphaPoly.of(0, F(1, 2))),
+            (AlphaPoly.of(), AlphaPoly.of(F(1, 3), 2).scale(0)),
+            (AlphaPoly.of(F(1, 6), 3), AlphaPoly.of(F(7, 12), F(21, 2)).scale(F(2, 7))),
+        )
+        for p, q in pairs:
+            assert p == q
+            assert hash(p) == hash(q)
+
+    @given(
+        st.lists(coeff_fracs, max_size=5),
+        st.lists(coeff_fracs, max_size=5),
+        scale_factors,
+        coeff_fracs,
+    )
+    @settings(max_examples=150)
+    def test_matches_fraction_list_reference(self, cs, ds, f, a):
+        p, q = AlphaPoly.of(*cs), AlphaPoly.of(*ds)
+        rc, rd = _ref(cs), _ref(ds)
+        results = (
+            (p, rc),
+            (p + q, _ref_add(rc, rd)),
+            (p - q, _ref_add(rc, [-d for d in rd])),
+            (-p, [-c for c in rc]),
+            (p * q, _ref_mul(rc, rd)),
+            (p.scale(f), [c * f for c in rc] if f else []),
+        )
+        for got, want in results:
+            assert got.coeffs == tuple(want)
+            assert got.degree == len(want) - 1
+            assert got.is_zero == (not want)
+            assert str(got) == _ref_str(want)
+            assert got.eval(a) == _ref_eval(want, a)
+            # canonical form: positive reduced denominator, no trailing zero
+            assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+            assert not got.num or got.num[-1] != 0
+            # the same value rebuilt from its coefficients is equal and hashes equal
+            again = AlphaPoly.of(*want)
+            assert got == again and hash(got) == hash(again)
 
 
 class TestFracExponent:

@@ -123,6 +123,11 @@ class TestEigenvalues:
         with pytest.raises(DomainError):
             local_eigenvalue(2, F(1), 0).eval(0.0)
 
+    def test_index_outside_range_refused(self):
+        for alpha in (F(3), F(0), F(-1, 2)):
+            with pytest.raises(ValueError, match="stability index must lie in"):
+                local_eigenvalue(2, alpha)
+
     def test_integer_asymmetry_required(self):
         with pytest.raises(ValueError):
             local_eigenvalue(0, F(1), F(1, 2))
