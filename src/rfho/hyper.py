@@ -34,6 +34,9 @@ the partial sum.  A cancellation guard re-sums once at higher precision
 when the largest term exceeds the sum by more than all but 20 of the
 working digits (index 1 beyond x of about 5.25).  Coefficients a_{2m}
 are cached per (index, power, precision); no series value is.
+
+mpmath is imported on first use, inside the functions that need it, so
+the exact subcommands start without it.
 """
 
 from __future__ import annotations
@@ -42,12 +45,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
-
-import mpmath as mp
-from mpmath.libmp import to_fixed
+from typing import TYPE_CHECKING, Sequence
 
 from .kterms import _as_fraction
+
+if TYPE_CHECKING:
+    import mpmath as mp
 
 
 class ConvergenceError(RuntimeError):
@@ -84,6 +87,8 @@ class PFQSpec:
             raise ValueError("series diverges: p > q + 1")
 
     def argument(self, x) -> mp.mpf:
+        import mpmath as mp
+
         scale = mp.mpf(self.argument_scale.numerator) / self.argument_scale.denominator
         return scale * mp.mpf(x) ** self.argument_power
 
@@ -174,9 +179,11 @@ def _sum_series(steps: _Steps, z: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
     mp.mp.prec + _GUARD_BITS; z is rounded to that grid once.  The stopping
     test |term| r/(1 - r) <= eps |sum| is made exactly in integers.
     """
+    import mpmath as mp
+
     prec = mp.mp.prec
     wp = prec + _GUARD_BITS
-    zfix = to_fixed(z._mpf_, wp)
+    zfix = mp.libmp.to_fixed(z._mpf_, wp)
     zabs = float(abs(z))
     term = total = largest = 1 << wp
     tops, bottoms, factors = steps.tables(_FIRST_TABLE)
@@ -216,6 +223,8 @@ def pfq_mp(spec: PFQSpec, x, dps: int = 40) -> mp.mpf:
     that fewer than 20 digits survive, the series is summed once more at
     dps + (digits lost) + 10 and rounded back to dps.
     """
+    import mpmath as mp
+
     steps = spec._steps
     with mp.workdps(dps):
         z = spec.argument(x)
@@ -350,6 +359,8 @@ _TABLE_32 = (
 @lru_cache(maxsize=None)
 def _a_value(alpha: Fraction, power: int, dps: int) -> mp.mpf:
     """The a coefficient for one (alpha, power) slot, from its symbolic recipe (cached)."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         pi = mp.pi
         if alpha == 1:
@@ -418,6 +429,8 @@ def closed_form_psi0(alpha) -> ClosedFormPsi0:
 
 def closed_form_term_values(c: ClosedFormPsi0, x, dps: int = 40) -> list[float]:
     """Each a * x**power * f value separately (for per-term auditing)."""
+    import mpmath as mp
+
     out = []
     with mp.workdps(dps):
         xm = mp.mpf(x)
@@ -429,6 +442,8 @@ def closed_form_term_values(c: ClosedFormPsi0, x, dps: int = 40) -> list[float]:
 
 def eval_closed_form(c: ClosedFormPsi0, x, dps: int = 40) -> float:
     """sum_m a_{2m} x**(2m) f_{2m}(x), summed at working precision."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         xm = mp.mpf(x)
         total = mp.mpf(0)

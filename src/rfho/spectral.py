@@ -249,10 +249,14 @@ def sample_local_eigenvalue(
     asymmetry correction (exp(i sgn(k) theta pi/2) - 1) |k|**a / a, which
     is how theta enters the multiplication symbol.  Singular points are
     left out, as in ``sample_regular``; returns (kept points, values).
-    At theta = 0 nothing is added, so signed zeros survive.
+    theta enters only through a phase of period 4, so it is reduced
+    exactly into (-2, 2] before it becomes a float; a theta of 4m gives
+    the theta = 0 values.  At theta = 0 nothing is added, so signed zeros
+    survive.
     """
     a = float(_as_fraction(alpha))
-    th = float(_as_fraction(theta))
+    th = _as_fraction(theta)
+    th = float(th - 4 * math.ceil((th - 2) / 4))
     base = local_eigenvalue(n, alpha, 0)
 
     def lam(k: float) -> complex:

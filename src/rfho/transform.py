@@ -42,6 +42,9 @@ peak; at x = 100 they are off by 7e-14 and at x = 200 by 1e-8.
 The cos/sin kernel is never held whole: the sums run over blocks of 128
 x rows, so the transform's working memory is one block of 128 x nodes
 floats (3.3 MB on the default rule), whatever the grid size.
+
+numpy is imported on first use, inside the functions that need it, so
+the exact subcommands start without it.
 """
 
 from __future__ import annotations
@@ -49,12 +52,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .kterms import FixedKExpr, _as_fraction
 from .spectral import KState, ground_state
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class QuadratureError(RuntimeError):
@@ -132,6 +136,8 @@ def _cutoff(alpha) -> int:
 
 def _tanh_sinh(width: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes k = width / (1 + exp(-pi sinh t)) and weights on [0, width], ascending."""
+    import numpy as np
+
     t = np.arange(_TS_FIRST, _TS_LAST + 1) * _TS_STEP
     z = np.pi * np.sinh(t)
     # u = 1 / (1 + e^-z) and v = 1 - u, each formed without cancellation
@@ -144,6 +150,8 @@ def _tanh_sinh(width: float) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _nodes_and_weights(cutoff: int, panel_count: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     width = cutoff / panel_count
     base_x, base_w = np.polynomial.legendre.leggauss(_GL_NODES)
     centers = width * (np.arange(1, panel_count) + 0.5)
@@ -155,6 +163,8 @@ def _nodes_and_weights(cutoff: int, panel_count: int) -> tuple[np.ndarray, np.nd
 
 def _eval_fixed_on_positive(expr: FixedKExpr, ks: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on strictly positive ks (sgn factors are 1)."""
+    import numpy as np
+
     out = np.zeros_like(ks)
     for t in expr.terms:
         out += float(t.coeff) * ks ** float(t.exponent)
@@ -185,12 +195,14 @@ class _Integrand:
         """Index of the largest node whose dropped sliver stays below _DROP_TARGET."""
         share = min(1.0, _DROP_TARGET * self.mass / self.drop_coeff)
         k_min = share ** (1 / self.power)
-        return max(int(np.searchsorted(nodes, k_min, side="right")) - 1, 0)
+        return max(int(nodes.searchsorted(k_min, side="right")) - 1, 0)
 
 
 def _integrand(
     state: KState, nodes: np.ndarray, weights: np.ndarray, x_reach: float
 ) -> _Integrand:
+    import numpy as np
+
     odd = state.n % 2
     re_amp, im_amp = state.amplitude_parts()
     amp = im_amp if odd else re_amp
@@ -251,6 +263,8 @@ def _fourier_sums(
     buffer; each column gets its own matrix-vector product, so identical
     columns give identical sums.
     """
+    import numpy as np
+
     trig = np.sin if odd else np.cos
     out = np.empty((len(columns), x_arr.size))
     block = np.empty((min(_BLOCK_ROWS, x_arr.size), nodes.size))
@@ -266,6 +280,8 @@ def _fourier_sums(
 
 
 def _x_array(xs: Sequence[float]) -> np.ndarray:
+    import numpy as np
+
     x_arr = np.asarray([float(x) for x in xs], dtype=float)
     if x_arr.size and not np.all(np.isfinite(x_arr)):
         raise ValueError("sample points must be finite")
@@ -278,7 +294,7 @@ def _transform(
     """(psi, imaginary residue) of each state, all of one parity, in one kernel pass."""
     cutoff = max(_cutoff(s.alpha) for s in states)
     width = cutoff / cfg.panel_count
-    x_far = float(np.max(np.abs(x_arr))) if x_arr.size else 0.0
+    x_far = float(abs(x_arr).max()) if x_arr.size else 0.0
     if x_far * width > _REACH:
         raise QuadratureError(
             f"|x| = {x_far:.6g} is beyond the rule's reach |x| <= {_REACH / width:g}"
@@ -292,7 +308,7 @@ def _transform(
     sums = _fourier_sums(x_arr, nodes[start:], columns, odd)
     out = []
     for psi, residue in zip(sums[0::2], sums[1::2]):
-        worst = float(np.max(np.abs(residue))) if residue.size else 0.0
+        worst = float(abs(residue).max()) if residue.size else 0.0
         if worst >= _RESIDUE_LIMIT:
             raise QuadratureError(
                 f"imaginary residue {worst:.3e} exceeds {_RESIDUE_LIMIT}"
@@ -335,7 +351,7 @@ def nongaussianity_x(alpha, xs: Sequence[float], cfg: QuadratureConfig) -> Grid:
     a = _as_fraction(alpha)
     x_arr = _x_array(xs)
     (numer, _), (denom, _) = _transform([ground_state(a), ground_state(2)], x_arr, cfg)
-    peak = float(np.max(np.abs(denom))) if denom.size else 0.0
+    peak = float(abs(denom).max()) if denom.size else 0.0
     out = []
     for num, den in zip(numer, denom):
         if peak == 0.0 or abs(den) <= 1e-12 * peak:

@@ -18,6 +18,9 @@ The closed-form table for index 3/2 contains per-term mismatches against
 the moment oracle; these are itemized in the corresponding criterion's
 detail text (suspected transcription slips, not corrected).  Its three
 lowest terms carry no slip and must match the oracle to 1e-9.
+
+mpmath is imported on first use, inside the oracles that need it, so
+the exact subcommands start without it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import mpmath as mp
 
 from .hermite import rf_hermite, rodrigues_family, standard_reduction
 from .hyper import closed_form_psi0, closed_form_term_values, eval_closed_form, gaussian_via_pfq
@@ -338,6 +339,8 @@ def crit_closed_form_alpha1(cfg: QuadratureConfig) -> CriterionResult:
 
 
 def _mpq(v: Fraction):
+    import mpmath as mp
+
     return mp.mpf(v.numerator) / v.denominator
 
 
@@ -360,6 +363,8 @@ class _Moments:
         while len(self.values) <= j:
             i, b = len(self.values), self.b
             if i < self.period:
+                import mpmath as mp
+
                 z = _mpq((self.q + 2 * i + self.s + 1) / b)
                 self.values.append(mp.power(_mpq(b), z - 1) * mp.gamma(z))
             else:
@@ -376,6 +381,8 @@ def _series_terms(moments: _Moments, x) -> list:
     Cos (s = 0) or sin (s = 1) expanded under the moment integral; the
     terms may dip before they peak, but never by 40 digits for |x| <= 3.
     """
+    import mpmath as mp
+
     s, x2, tiny = moments.s, x * x, mp.mpf(10) ** -40
     power = x**s            # x^(2j+s) / (2j+s)!
     terms, top, j = [], mp.mpf(0), 0
@@ -396,6 +403,8 @@ def _moment_blocks(alpha: Fraction, x: float, modulus: int, dps: int = 60) -> li
     moments of _Moments; class m mod ``modulus`` isolates the closed-form
     table's m-th summand.
     """
+    import mpmath as mp
+
     blocks = [mp.mpf(0)] * modulus
     with mp.workdps(dps):
         moments = _Moments(Fraction(alpha) / 2 + 1, Fraction(0), 0)
@@ -416,6 +425,8 @@ def _moment_series(alpha: Fraction, n: int, xs: Sequence[float], dps: int = 60) 
     diverges.  The series is entire in x, but for small alpha its terms
     peak late: keep |x| <= 3 above index 1/2 and |x| <= 1 down to 1/5.
     """
+    import mpmath as mp
+
     alpha = Fraction(alpha)
     b = alpha / 2 + 1
     s = n % 2

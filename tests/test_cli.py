@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import rfho
 from rfho.cli import MAX_POINTS, _grid, main
 
 
@@ -239,6 +244,47 @@ class TestPlumbing:
         _, data = rows(out)
         for k, re, im in data:
             assert complex(re, im) == state.eval(k)
+
+
+_COLD_START = """
+import contextlib, io, sys
+import rfho.cli
+
+# perfbench/tracer.py looks these three up in sys.modules when it installs
+# its spans, so importing rfho.cli must still load them
+assert {"rfho.transform", "rfho.hyper", "rfho.validation"} <= set(sys.modules)
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert rfho.cli.main(argv) == 0, argv
+
+for argv in (
+    ["hermite", "--n", "4"],
+    ["hermite", "--n", "4", "--alpha", "3/2", "--format", "csv"],
+    ["factorize", "--delta", "1", "--gamma", "3/2"],
+    ["factorize", "--delta", "3/2", "--gamma", "3/2", "--space", "k", "--theta", "1"],
+    ["eigenvalue", "--n", "2", "--alpha", "3/2", "--theta", "1/2", "--grid=-1:1:5"],
+    ["state", "--n", "3", "--alpha", "1/2", "--space", "k", "--grid=-1:1:5"],
+    ["nongauss", "--alpha", "1", "--space", "k", "--grid=-1:1:5"],
+):
+    run(argv)
+    loaded = {"numpy", "mpmath"} & set(sys.modules)
+    assert not loaded, (argv, loaded)
+
+run(["state", "--n", "1", "--alpha", "1", "--space", "x", "--grid=0:1:3"])
+assert "numpy" in sys.modules
+run(["validate"])
+assert "mpmath" in sys.modules
+"""
+
+
+class TestColdStart:
+    def test_exact_subcommands_load_no_numpy_or_mpmath(self):
+        src = str(Path(rfho.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestInputContract:

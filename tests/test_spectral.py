@@ -144,6 +144,17 @@ class TestEigenvalues:
         corr = (complex(math.cos(math.pi / 4), math.sin(math.pi / 4)) - 1) / 2
         assert got == pytest.approx(0.5 + corr, abs=1e-14)
 
+    def test_asymmetry_has_period_four(self):
+        # theta enters through exp(i sgn(k) theta pi/2); a float of a large
+        # theta loses its value modulo 4, so it must be reduced exactly
+        ks = [-1.0, -0.5, 0.5, 1.0]
+        for theta in (F(4, 3), F(1, 2), F(-1), F(2), F(1, 3)):
+            want = sample_local_eigenvalue(3, F(1, 3), theta, ks)
+            for m in (1, -3, 10**20, 10**400):
+                assert sample_local_eigenvalue(3, F(1, 3), theta + 4 * m, ks) == want
+        flat = sample_local_eigenvalue(3, F(1, 3), 0, ks)
+        assert sample_local_eigenvalue(3, F(1, 3), F(10**400), ks) == flat
+
     def test_sampling_omits_singular_points(self):
         # n = 1 at a = 2: the denominator a*H_1 vanishes at the origin
         pts, vals = sample_local_eigenvalue(1, F(2), 0, [-1.0, 0.0, 1.0])
