@@ -10,6 +10,15 @@ away from the origin), and the exponent is encoded by the integer pair
 ``(j, m)``.  Sums, products and d/dk are exact; floating point enters only
 when an expression is evaluated at concrete ``(a, k)``.
 
+Canonical form.  ``KExpr``, ``FixedKExpr`` (the same sums once ``a`` is
+substituted) and ``operators.OpExpr`` (normal-ordered words in x and D)
+are all canonical sums of terms, each term a key and a coefficient: terms
+with equal keys are merged by adding their coefficients, terms whose
+coefficient is zero are dropped, and the rest are sorted by key.  Equal
+sums therefore have equal term tuples, so ``==`` and ``hash`` act on
+values.  The rule lives once, in ``_TermSum``; construct through the
+named constructors and the operators to keep it.
+
 ``c(a)`` is stored as integer numerators over one positive common
 denominator, ``AlphaPoly(num, den)``, reduced so that gcd(den, *num) == 1
 and with trailing zero numerators stripped (zero is ``((), 1)``).  The
@@ -51,6 +60,16 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _signed_join(parts: list[str]) -> str:
+    """Join printed terms with " + ", writing a leading minus as " - "; "0" when empty."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 def _poly(num: list[int], den: int) -> AlphaPoly:
@@ -103,6 +122,9 @@ class AlphaPoly:
     @property
     def is_zero(self) -> bool:
         return not self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     @property
     def degree(self) -> int:
@@ -159,8 +181,6 @@ class AlphaPoly:
         return Fraction(acc, self.den * qpow)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         parts: list[str] = []
         for d, c in enumerate(self.coeffs):
             if c == 0:
@@ -176,10 +196,7 @@ class AlphaPoly:
                 else:
                     body = f"{c}*{var}"
             parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_join(parts)
 
 
 _ZERO = AlphaPoly(())
@@ -204,12 +221,6 @@ class FracExponent:
     @property
     def is_zero(self) -> bool:
         return self.j == 0 and self.m == 0
-
-    def shift(self, dm: int) -> FracExponent:
-        return FracExponent(self.j, self.m + dm)
-
-    def __add__(self, other: FracExponent) -> FracExponent:
-        return FracExponent(self.j + other.j, self.m + other.m)
 
     def __str__(self) -> str:
         if self.j == 0:
@@ -242,39 +253,77 @@ class KTerm:
         return f"{cs}*{sgn}|k|^({self.exponent})"
 
 
-def _merge_terms(terms: Iterable[KTerm]) -> tuple[KTerm, ...]:
-    acc: dict[tuple[int, int, int], AlphaPoly] = {}
-    for t in terms:
-        key = (t.exponent.j, t.exponent.m, t.sgn_parity)
-        prev = acc.get(key)
-        acc[key] = t.coeff if prev is None else prev + t.coeff
-    out = [
-        KTerm(coeff, key[2], FracExponent(key[0], key[1]))
-        for key, coeff in acc.items()
-        if not coeff.is_zero
-    ]
-    out.sort(key=lambda t: (t.exponent.j, t.exponent.m, t.sgn_parity), reverse=True)
-    return tuple(out)
+class _TermSum:
+    """Canonical sum of terms, each a (key, coeff) pair; see the module docstring.
+
+    A subclass is a frozen dataclass whose one field is the term tuple.  It
+    supplies ``_pairs`` (the (key, coeff) pair of each term), ``_term`` (the
+    term for a key and a coefficient), ``_coerce`` (a scalar into the
+    coefficient ring), ``_descending`` (the sort direction) and its product.
+    """
+
+    _descending = False
+
+    @classmethod
+    def _merge(cls, pairs: Iterable[tuple]):
+        """The canonical sum of (key, coeff) pairs: merged on key, zeros dropped, sorted."""
+        acc: dict = {}
+        for key, coeff in pairs:
+            prev = acc.get(key)
+            acc[key] = coeff if prev is None else prev + coeff
+        keys = sorted((key for key, coeff in acc.items() if coeff), reverse=cls._descending)
+        return cls(tuple(cls._term(key, acc[key]) for key in keys))
+
+    @classmethod
+    def _single(cls, term):
+        """The sum of one term: empty when its coefficient is zero."""
+        return cls((term,) if term.coeff else ())
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._pairs()
+
+    def __add__(self, other):
+        return self._merge(self._pairs() + other._pairs())
+
+    def __neg__(self):
+        return type(self)(tuple(self._term(key, -coeff) for key, coeff in self._pairs()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, factor):
+        f = self._coerce(factor)
+        return self._merge((key, coeff * f) for key, coeff in self._pairs())
+
+
+def _as_poly(value) -> AlphaPoly:
+    return value if isinstance(value, AlphaPoly) else AlphaPoly.const(value)
 
 
 @dataclass(frozen=True)
-class KExpr:
-    """Canonical sum of KTerm monomials.
-
-    Canonical form: terms merged on (j, m, parity), zero coefficients
-    dropped, sorted by (j, m, parity) descending.  Construct through
-    ``from_terms`` (or the arithmetic operators) to maintain it.
-    """
+class KExpr(_TermSum):
+    """Canonical sum of KTerm monomials, keyed on (j, m, parity), sorted descending."""
 
     terms: tuple[KTerm, ...]
 
-    @staticmethod
-    def from_terms(terms: Iterable[KTerm]) -> KExpr:
-        return KExpr(_merge_terms(terms))
+    _descending = True
+    _coerce = staticmethod(_as_poly)
+
+    def _pairs(self) -> list[tuple]:
+        return [((t.exponent.j, t.exponent.m, t.sgn_parity), t.coeff) for t in self.terms]
 
     @staticmethod
-    def zero() -> KExpr:
-        return KExpr(())
+    def _term(key: tuple, coeff: AlphaPoly) -> KTerm:
+        return KTerm(coeff, key[2], FracExponent(key[0], key[1]))
+
+    @staticmethod
+    def from_terms(terms: Iterable[KTerm]) -> KExpr:
+        return KExpr._merge(((t.exponent.j, t.exponent.m, t.sgn_parity), t.coeff) for t in terms)
 
     @staticmethod
     def one() -> KExpr:
@@ -282,57 +331,27 @@ class KExpr:
 
     @staticmethod
     def monomial(coeff, sgn_parity: int, j: int, m: int) -> KExpr:
-        c = coeff if isinstance(coeff, AlphaPoly) else AlphaPoly.const(coeff)
-        return KExpr.from_terms([KTerm(c, sgn_parity, FracExponent(j, m))])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: KExpr) -> KExpr:
-        return KExpr.from_terms(self.terms + other.terms)
-
-    def __neg__(self) -> KExpr:
-        return KExpr(tuple(KTerm(-t.coeff, t.sgn_parity, t.exponent) for t in self.terms))
-
-    def __sub__(self, other: KExpr) -> KExpr:
-        return self + (-other)
+        return KExpr._single(KTerm(_as_poly(coeff), sgn_parity, FracExponent(j, m)))
 
     def __mul__(self, other: KExpr) -> KExpr:
-        prods = [
-            KTerm(
-                s.coeff * o.coeff,
-                (s.sgn_parity + o.sgn_parity) % 2,
-                s.exponent + o.exponent,
-            )
-            for s in self.terms
-            for o in other.terms
-        ]
-        return KExpr.from_terms(prods)
-
-    def scale(self, factor) -> KExpr:
-        if isinstance(factor, AlphaPoly):
-            poly = factor
-        else:
-            poly = AlphaPoly.const(factor)
-        return KExpr.from_terms(
-            KTerm(t.coeff * poly, t.sgn_parity, t.exponent) for t in self.terms
+        right = other._pairs()
+        return KExpr._merge(
+            ((j + oj, m + om, (p + op) % 2), c * oc)
+            for (j, m, p), c in self._pairs()
+            for (oj, om, op), oc in right
         )
 
     def differentiate(self) -> KExpr:
-        out = []
-        for t in self.terms:
-            # multiply by the exponent value j*a/2 + m as a polynomial in a
-            mult = _poly([2 * t.exponent.m, t.exponent.j], 2)
-            out.append(KTerm(t.coeff * mult, (t.sgn_parity + 1) % 2, t.exponent.shift(-1)))
-        return KExpr.from_terms(out)
+        # multiply by the exponent value j*a/2 + m as a polynomial in a
+        return KExpr._merge(
+            ((j, m - 1, 1 - p), c * _poly([2 * m, j], 2)) for (j, m, p), c in self._pairs()
+        )
 
     def at_alpha(self, alpha) -> FixedKExpr:
         """Substitute the stability index; numerically coincident exponents merge."""
         a = _as_fraction(alpha)
-        return FixedKExpr.from_terms(
-            FixedKTerm(t.coeff.eval(a), t.sgn_parity, t.exponent.value(a))
-            for t in self.terms
+        return FixedKExpr._merge(
+            ((t.exponent.value(a), t.sgn_parity), t.coeff.eval(a)) for t in self.terms
         )
 
     def eval(self, alpha, k: float) -> float:
@@ -373,68 +392,37 @@ class FixedKTerm:
 
 
 @dataclass(frozen=True)
-class FixedKExpr:
-    """Sum of FixedKTerm monomials, merged on (exponent, parity), sorted descending."""
+class FixedKExpr(_TermSum):
+    """Canonical sum of FixedKTerm monomials, keyed on (exponent, parity), sorted descending."""
 
     terms: tuple[FixedKTerm, ...]
 
-    @staticmethod
-    def from_terms(terms: Iterable[FixedKTerm]) -> FixedKExpr:
-        acc: dict[tuple[Fraction, int], Fraction] = {}
-        for t in terms:
-            key = (t.exponent, t.sgn_parity)
-            acc[key] = acc.get(key, Fraction(0)) + t.coeff
-        out = [
-            FixedKTerm(c, key[1], key[0]) for key, c in acc.items() if c != 0
-        ]
-        out.sort(key=lambda t: (t.exponent, t.sgn_parity), reverse=True)
-        return FixedKExpr(tuple(out))
+    _descending = True
+    _coerce = staticmethod(_as_fraction)
+
+    def _pairs(self) -> list[tuple]:
+        return [((t.exponent, t.sgn_parity), t.coeff) for t in self.terms]
 
     @staticmethod
-    def zero() -> FixedKExpr:
-        return FixedKExpr(())
+    def _term(key: tuple, coeff: Fraction) -> FixedKTerm:
+        return FixedKTerm(coeff, key[1], key[0])
 
     @staticmethod
     def monomial(coeff, sgn_parity: int, exponent) -> FixedKExpr:
-        return FixedKExpr.from_terms(
-            [FixedKTerm(_as_fraction(coeff), sgn_parity, _as_fraction(exponent))]
+        return FixedKExpr._single(
+            FixedKTerm(_as_fraction(coeff), sgn_parity, _as_fraction(exponent))
         )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: FixedKExpr) -> FixedKExpr:
-        return FixedKExpr.from_terms(self.terms + other.terms)
-
-    def __neg__(self) -> FixedKExpr:
-        return FixedKExpr(tuple(FixedKTerm(-t.coeff, t.sgn_parity, t.exponent) for t in self.terms))
-
-    def __sub__(self, other: FixedKExpr) -> FixedKExpr:
-        return self + (-other)
 
     def __mul__(self, other: FixedKExpr) -> FixedKExpr:
-        return FixedKExpr.from_terms(
-            FixedKTerm(
-                s.coeff * o.coeff,
-                (s.sgn_parity + o.sgn_parity) % 2,
-                s.exponent + o.exponent,
-            )
-            for s in self.terms
-            for o in other.terms
-        )
-
-    def scale(self, factor) -> FixedKExpr:
-        f = _as_fraction(factor)
-        return FixedKExpr.from_terms(
-            FixedKTerm(t.coeff * f, t.sgn_parity, t.exponent) for t in self.terms
+        right = other._pairs()
+        return FixedKExpr._merge(
+            ((e + oe, (p + op) % 2), c * oc)
+            for (e, p), c in self._pairs()
+            for (oe, op), oc in right
         )
 
     def differentiate(self) -> FixedKExpr:
-        return FixedKExpr.from_terms(
-            FixedKTerm(t.coeff * t.exponent, (t.sgn_parity + 1) % 2, t.exponent - 1)
-            for t in self.terms
-        )
+        return FixedKExpr._merge(((e - 1, 1 - p), c * e) for (e, p), c in self._pairs())
 
     def eval(self, k: float) -> float:
         """Pointwise value with sgn(0) = 0; k = 0 with a negative exponent raises DomainError."""

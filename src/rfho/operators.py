@@ -33,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
-from .kterms import FixedKExpr, _as_fraction
+from .kterms import FixedKExpr, _as_fraction, _signed_join, _TermSum
 from .spectral import KState, half_turn, phase_split
 
 
@@ -68,57 +67,33 @@ class OpWord:
 
 
 @dataclass(frozen=True)
-class OpExpr:
-    """Normal-ordered sum of OpWord, merged on (xpow, dorder), sorted ascending."""
+class OpExpr(_TermSum):
+    """Normal-ordered sum of OpWord, keyed on (xpow, dorder), sorted ascending."""
 
     words: tuple[OpWord, ...]
 
-    @staticmethod
-    def from_words(words: Iterable[OpWord]) -> OpExpr:
-        acc: dict[tuple[int, Fraction], Fraction] = {}
-        for w in words:
-            key = (w.xpow, w.dorder)
-            acc[key] = acc.get(key, Fraction(0)) + w.coeff
-        out = [OpWord(c, k[0], k[1]) for k, c in acc.items() if c != 0]
-        out.sort(key=lambda w: (w.xpow, w.dorder))
-        return OpExpr(tuple(out))
+    _coerce = staticmethod(_as_fraction)
+
+    def _pairs(self) -> list[tuple]:
+        return [((w.xpow, w.dorder), w.coeff) for w in self.words]
 
     @staticmethod
-    def zero() -> OpExpr:
-        return OpExpr(())
+    def _term(key: tuple, coeff: Fraction) -> OpWord:
+        return OpWord(coeff, key[0], key[1])
 
     @staticmethod
     def word(coeff, xpow: int, dorder) -> OpExpr:
-        return OpExpr.from_words([OpWord(_as_fraction(coeff), xpow, _as_fraction(dorder))])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.words
-
-    def __add__(self, other: OpExpr) -> OpExpr:
-        return OpExpr.from_words(self.words + other.words)
-
-    def __neg__(self) -> OpExpr:
-        return OpExpr(tuple(OpWord(-w.coeff, w.xpow, w.dorder) for w in self.words))
-
-    def __sub__(self, other: OpExpr) -> OpExpr:
-        return self + (-other)
-
-    def scale(self, factor) -> OpExpr:
-        f = _as_fraction(factor)
-        return OpExpr.from_words(OpWord(w.coeff * f, w.xpow, w.dorder) for w in self.words)
+        return OpExpr._single(OpWord(_as_fraction(coeff), xpow, _as_fraction(dorder)))
 
     def __mul__(self, other: OpExpr) -> OpExpr:
-        out: list[OpWord] = []
-        for left in self.words:
-            for right in other.words:
-                c = left.coeff * right.coeff
-                # push left.dorder through right.xpow, then exponents of D add
-                for mc, mx, md in _push_through(left.dorder, right.xpow):
-                    out.append(
-                        OpWord(c * mc, left.xpow + mx, md + right.dorder)
-                    )
-        return OpExpr.from_words(out)
+        right = other._pairs()
+        # push each left D order through the right x power, then the D orders add
+        return OpExpr._merge(
+            ((x + w.xpow, w.dorder + od), c * oc * w.coeff)
+            for (x, d), c in self._pairs()
+            for (ox, od), oc in right
+            for w in _push_through(d, ox).words
+        )
 
     def to_json_obj(self) -> list[dict]:
         return [
@@ -127,36 +102,22 @@ class OpExpr:
         ]
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = [str(w) for w in self.words]
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_join([str(w) for w in self.words])
 
 
 @lru_cache(maxsize=None)
-def _push_through(dorder: Fraction, xpow: int) -> tuple[tuple[Fraction, int, Fraction], ...]:
-    """Normal-order D**dorder x**xpow as a sum of (coeff, xpow, dorder) triples.
+def _push_through(dorder: Fraction, xpow: int) -> OpExpr:
+    """Normal-order D**dorder x**xpow.
 
-    Single axiom D**b x = x D**b + b D**(b-1), recursed over xpow; each
-    application strictly reduces the number of x factors to the right of
-    the D factor, so this terminates.
+    Single axiom D**b x = x D**b + b D**(b-1), recursed over xpow:
+    D**b x**n = x (D**b x**(n-1)) + b (D**(b-1) x**(n-1)).  Each step
+    lowers the number of x factors right of the D factor, so this
+    terminates; the x factor on the left is already in normal order.
     """
-    if xpow == 0:
-        return ((Fraction(1), 0, dorder),)
-    if dorder == 0:
-        return ((Fraction(1), xpow, Fraction(0)),)
-    out: list[tuple[Fraction, int, Fraction]] = []
-    for c, a, b in _push_through(dorder, xpow - 1):
-        out.append((c, a + 1, b))                       # x * (D**b x**(xpow-1) term)
-    for c, a, b in _push_through(dorder - 1, xpow - 1):
-        out.append((c * dorder, a, b))                  # b * D**(b-1) x**(xpow-1) term
-    acc: dict[tuple[int, Fraction], Fraction] = {}
-    for c, a, b in out:
-        acc[(a, b)] = acc.get((a, b), Fraction(0)) + c
-    return tuple((c, a, b) for (a, b), c in sorted(acc.items()) if c != 0)
+    if xpow == 0 or dorder == 0:
+        return OpExpr.word(1, xpow, dorder)
+    x = OpExpr.word(1, 1, 0)
+    return x * _push_through(dorder, xpow - 1) + _push_through(dorder - 1, xpow - 1).scale(dorder)
 
 
 def _positive_order(value) -> Fraction:
@@ -241,10 +202,6 @@ class ComplexFixed:
 
     re: FixedKExpr
     im: FixedKExpr
-
-    @staticmethod
-    def zero() -> ComplexFixed:
-        return ComplexFixed(FixedKExpr.zero(), FixedKExpr.zero())
 
     @property
     def is_zero(self) -> bool:

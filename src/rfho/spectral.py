@@ -251,20 +251,27 @@ def sample_local_eigenvalue(
     left out, as in ``sample_regular``; returns (kept points, values).
     theta enters only through a phase of period 4, so it is reduced
     exactly into (-2, 2] before it becomes a float; a theta of 4m gives
-    the theta = 0 values.  At theta = 0 nothing is added, so signed zeros
-    survive.
+    the theta = 0 values.  An integer theta takes its phase from the exact
+    ``half_turn`` table, so theta = 2 adds no imaginary part (in floats
+    exp(i pi) is -1 + 1.2e-16i).  At theta = 0 nothing is added, so signed
+    zeros survive.
     """
     a = float(_as_fraction(alpha))
     th = _as_fraction(theta)
-    th = float(th - 4 * math.ceil((th - 2) / 4))
+    th -= 4 * math.ceil((th - 2) / 4)
+    if th.denominator == 1:
+        cos, sin = half_turn(int(th))
+    else:
+        angle = float(th) * math.pi / 2
+        cos, sin = math.cos(angle), math.sin(angle)
     base = local_eigenvalue(n, alpha, 0)
 
     def lam(k: float) -> complex:
         value = base.eval(k)
         kf = float(k)
-        if kf != 0.0 and th != 0.0:
+        if kf != 0.0 and th != 0:
             sign = 1.0 if kf > 0 else -1.0
-            value += (cmath.exp(1j * sign * th * math.pi / 2) - 1.0) * abs(kf) ** a / a
+            value += (complex(cos, sign * sin) - 1.0) * abs(kf) ** a / a
         return value
 
     return sample_regular(lam, ks)

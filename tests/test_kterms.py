@@ -165,10 +165,6 @@ class TestFracExponent:
         with pytest.raises(ValueError):
             FracExponent(-1, 0)
 
-    def test_shift_and_add(self):
-        e = FracExponent(2, 0).shift(-1)
-        assert (e + FracExponent(1, 1)).value(F(2)) == F(3)
-
 
 class TestKExpr:
     def test_merge_doubles_coefficient(self):
@@ -224,6 +220,79 @@ class TestKExpr:
                 via = fixed.eval(k)
                 tol = 4 * math.ulp(max(abs(direct), abs(via), 1.0))
                 assert abs(direct - via) <= tol
+
+
+# a KExpr as a plain dict {(j, m, parity): reference coefficient list}
+kterm_parts = st.lists(
+    st.tuples(
+        st.lists(coeff_fracs, max_size=3),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=-1, max_value=1),
+    ),
+    max_size=6,
+)
+
+
+def _kref(parts) -> dict:
+    out: dict = {}
+    for cs, p, j, m in parts:
+        out[(j, m, p)] = _ref_add(out.get((j, m, p), []), cs)
+    return {key: cs for key, cs in out.items() if cs}
+
+
+def _kref_merge(pairs) -> dict:
+    return _kref([(cs, p, j, m) for (j, m, p), cs in pairs])
+
+
+def _kdict(e: KExpr) -> dict:
+    return {(t.exponent.j, t.exponent.m, t.sgn_parity): list(t.coeff.coeffs) for t in e.terms}
+
+
+def _kexpr_of(parts) -> KExpr:
+    out = KExpr.zero()
+    for cs, p, j, m in parts:
+        out = out + KExpr.monomial(AlphaPoly.of(*cs), p, j, m)
+    return out
+
+
+class TestKExprReference:
+    @given(kterm_parts, kterm_parts, scale_factors, st.sampled_from(EVAL_ALPHAS))
+    @settings(max_examples=150)
+    def test_matches_dict_reference(self, ps, qs, f, a):
+        e, g = _kexpr_of(ps), _kexpr_of(qs)
+        r, q = _kref(ps), _kref(qs)
+        results = (
+            (e, r),
+            (e + g, _kref_merge([*r.items(), *q.items()])),
+            (e - g, _kref_merge([*r.items(), *((key, [-c for c in cs]) for key, cs in q.items())])),
+            (-e, {key: [-c for c in cs] for key, cs in r.items()}),
+            (e * g, _kref_merge(
+                ((j + oj, m + om, (p + op) % 2), _ref_mul(cs, ds))
+                for (j, m, p), cs in r.items() for (oj, om, op), ds in q.items()
+            )),
+            (e.scale(f), _kref_merge((key, [c * f for c in cs]) for key, cs in r.items())),
+            (e.scale(0), {}),
+            # d/dk multiplies by the exponent m + j*a/2 and lowers m by one
+            (e.differentiate(), _kref_merge(
+                ((j, m - 1, 1 - p), _ref_mul(cs, [F(m), F(j, 2)])) for (j, m, p), cs in r.items()
+            )),
+        )
+        for got, want in results:
+            assert _kdict(got) == want
+            keys = [(t.exponent.j, t.exponent.m, t.sgn_parity) for t in got.terms]
+            assert keys == sorted(want, reverse=True)
+            assert got.is_zero == (not want)
+            again = KExpr.from_terms(reversed(got.terms))
+            assert got == again and hash(got) == hash(again)
+        fixed: dict = {}
+        for (j, m, p), cs in r.items():
+            key = (F(j) * a / 2 + m, p)
+            fixed[key] = fixed.get(key, F(0)) + _ref_eval(cs, a)
+        fixed = {key: c for key, c in fixed.items() if c}
+        got = e.at_alpha(a)
+        assert {(t.exponent, t.sgn_parity): t.coeff for t in got.terms} == fixed
+        assert [(t.exponent, t.sgn_parity) for t in got.terms] == sorted(fixed, reverse=True)
 
 
 class TestOriginRules:

@@ -63,6 +63,51 @@ def test_multiplication_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+# an OpExpr as a plain dict {(xpow, dorder): coeff}
+word_parts = st.lists(st.tuples(coeffs, st.integers(min_value=0, max_value=2), orders), max_size=4)
+
+
+def _oref(pairs) -> dict:
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out.get(key, F(0)) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _oref_mul(r: dict, q: dict) -> dict:
+    """Normal order each x^a D^b x^c D^e by applying D^b x = x D^b + b D^(b-1) directly."""
+    pending = [(a, b, c, e, u * v) for (a, b), u in r.items() for (c, e), v in q.items()]
+    out = []
+    while pending:
+        a, b, c, e, coeff = pending.pop()
+        if c == 0 or b == 0:
+            out.append(((a + c, b + e), coeff))
+        else:
+            pending.append((a + 1, b, c - 1, e, coeff))
+            pending.append((a, b - 1, c - 1, e, coeff * b))
+    return _oref(out)
+
+
+@given(word_parts, word_parts, st.one_of(st.just(F(0)), coeffs))
+@settings(max_examples=150, deadline=None)
+def test_matches_dict_reference(ps, qs, f):
+    e = sum((OpExpr.word(c, x, d) for c, x, d in ps), start=OpExpr.zero())
+    g = sum((OpExpr.word(c, x, d) for c, x, d in qs), start=OpExpr.zero())
+    r, q = _oref(((x, d), c) for c, x, d in ps), _oref(((x, d), c) for c, x, d in qs)
+    results = (
+        (e, r),
+        (e + g, _oref([*r.items(), *q.items()])),
+        (e - g, _oref([*r.items(), *((key, -c) for key, c in q.items())])),
+        (-e, {key: -c for key, c in r.items()}),
+        (e * g, _oref_mul(r, q)),
+        (e.scale(f), _oref((key, c * f) for key, c in r.items())),
+    )
+    for got, want in results:
+        assert {(w.xpow, w.dorder): w.coeff for w in got.words} == want
+        assert [(w.xpow, w.dorder) for w in got.words] == sorted(want)
+        assert got.is_zero == (not want)
+
+
 def test_generator_shapes():
     assert lowering_op(F(2)) == OpExpr.word(1, 0, 1) + OpExpr.word(1, 1, 0)
     assert raising_op(F(2)) == OpExpr.word(-1, 0, 1) + OpExpr.word(1, 1, 0)

@@ -155,6 +155,23 @@ class TestEigenvalues:
         flat = sample_local_eigenvalue(3, F(1, 3), 0, ks)
         assert sample_local_eigenvalue(3, F(1, 3), F(10**400), ks) == flat
 
+    def test_half_turn_asymmetry_adds_no_imaginary_part(self):
+        # exp(i pi) in floats is -1 + 1.2e-16i; theta = 2 must take the exact phase
+        for n in (0, 3, 6):
+            for alpha in (F(1, 3), F(3, 2)):
+                _, vals = sample_local_eigenvalue(n, alpha, 2, [-2.0, -1.0, 1.0, 2.0])
+                assert [v.imag for v in vals] == [0.0] * 4
+
+    def test_integer_asymmetry_matches_exact_form(self):
+        ks = [-2.5, -1.0, -0.3, 0.3, 1.0, 2.5]
+        for n in range(5):
+            for alpha in (F(1, 3), F(1), F(3, 2)):
+                for theta in range(-3, 6):
+                    exact = local_eigenvalue(n, alpha, theta)
+                    pts, vals = sample_local_eigenvalue(n, alpha, theta, ks)
+                    for k, got in zip(pts, vals):
+                        assert got == pytest.approx(exact.eval(k), rel=1e-14)
+
     def test_sampling_omits_singular_points(self):
         # n = 1 at a = 2: the denominator a*H_1 vanishes at the origin
         pts, vals = sample_local_eigenvalue(1, F(2), 0, [-1.0, 0.0, 1.0])
