@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class DomainError(ValueError):
@@ -367,14 +367,6 @@ class KExpr(_TermSum):
             }
             for t in self.terms
         ]
-
-    @staticmethod
-    def from_json_obj(obj: Sequence[dict]) -> KExpr:
-        terms = []
-        for entry in obj:
-            coeff = AlphaPoly.of(*[Fraction(c) for c in entry["coeff"]])
-            terms.append(KTerm(coeff, int(entry["sgn"]), FracExponent(int(entry["j"]), int(entry["m"]))))
-        return KExpr.from_terms(terms)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .kterms import FixedKExpr, _as_fraction, _signed_join, _TermSum
-from .spectral import KState, half_turn, phase_split
+from .spectral import KState, half_turn
 
 
 @dataclass(frozen=True)
@@ -275,18 +275,20 @@ class FourierRemainder:
         )
 
     def apply(self, state: KState) -> ComplexFixed:
-        """Amplitude pair A with (remainder phi_n)(k) = A(k) * phi0(k).
+        """Amplitude pair B with (remainder phi_n)(k) = B(k) * phi0(k).
 
-        phi_n = i**n H phi0 gives d phi_n/dk = i**n (H' - s H) phi0 with
-        s = sgn(k)|k|**(a/2), so the result is c0 * i**n H plus
-        c1 * i**n (H' - s H), all exact at the state's alpha.
+        phi_n = i**(n mod 2) A phi0 with the real amplitude A of
+        ``KState.amplitude`` gives d phi_n/dk = i**(n mod 2) (A' - s A) phi0
+        with s = sgn(k)|k|**(a/2), so B is c0 A + c1 (A' - s A), times i
+        for odd n, all exact at the state's alpha.
         """
-        a = state.alpha
-        h = state.hermite.expr.at_alpha(a)
-        s = FixedKExpr.monomial(1, 1, a / 2)
-        base = ComplexFixed(*phase_split(state.n, h))
-        deriv = ComplexFixed(*phase_split(state.n, h.differentiate() - s * h))
-        return self.c0 * base + self.c1 * deriv
+        amp = state.amplitude()
+        deriv = amp.differentiate() - FixedKExpr.monomial(1, 1, state.alpha / 2) * amp
+        out = ComplexFixed(
+            self.c0.re * amp + self.c1.re * deriv,
+            self.c0.im * amp + self.c1.im * deriv,
+        )
+        return out.times_i() if state.n % 2 else out
 
     def eval_applied(self, state: KState, k: float) -> complex:
         return self.apply(state).eval(k) * state.ground_value(k)

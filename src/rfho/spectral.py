@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .hermite import RFHermite, rf_hermite
-from .kterms import AlphaPoly, DomainError, KExpr, _as_fraction
+from .kterms import AlphaPoly, DomainError, FixedKExpr, KExpr, _as_fraction
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,6 @@ class SymbolSpec:
 
     order: Fraction
     asymmetry: Fraction = Fraction(0)
-
-    @property
-    def in_diamond(self) -> bool:
-        """Whether |asymmetry| <= min(order, 2 - order), the admissible-symbol region.
-
-        Outside it the symbol no longer corresponds to a stable process;
-        construction is still allowed and callers may warn.
-        """
-        return abs(self.asymmetry) <= min(self.order, 2 - self.order)
 
     def eval(self, k: float) -> complex:
         kf = float(k)
@@ -78,18 +69,6 @@ def half_turn(r: int) -> tuple[int, int]:
     return ((1, 0), (0, 1), (-1, 0), (0, -1))[r % 4]
 
 
-def phase_split(n: int, expr):
-    """(real, imaginary) parts of i**n * expr for a real expression.
-
-    Exactly one part is nonzero: i**n is real for even n and imaginary
-    for odd n.
-    """
-    cos, sin = half_turn(n)
-    part = expr if cos + sin == 1 else -expr
-    zero = expr.scale(0)
-    return (part, zero) if cos else (zero, part)
-
-
 #: sgn(k)|k|**(a/2), minus the log-derivative of the ground state
 S_EXPR = KExpr.monomial(1, 1, 1, 0)
 
@@ -107,6 +86,8 @@ class KState:
             raise ValueError("stability index must lie in (0, 2]")
         if self.hermite.n != self.n:
             raise ValueError("hermite index does not match state index")
+        if any(t.sgn_parity != self.n % 2 for t in self.hermite.expr.terms):
+            raise ValueError("every hermite term must carry sgn parity n mod 2")
 
     @property
     def ground_exponent(self) -> Fraction:
@@ -117,20 +98,20 @@ class KState:
         e = float(self.ground_exponent)
         return math.exp(-abs(float(k)) ** e / e)
 
-    def amplitude_parts(self):
-        """(real, imaginary) FixedKExpr factors of i**n H_n at this alpha."""
-        return phase_split(self.n, self.hermite.expr.at_alpha(self.alpha))
+    def amplitude(self) -> FixedKExpr:
+        """Real factor A in phi_n = i**(n mod 2) A phi0, at this alpha.
+
+        A is H_n, negated when n mod 4 >= 2 (i**n = -1 or -i).  Every term
+        of H_n carries sgn(k)**(n mod 2), so phi_n is real and even for
+        even n, imaginary and odd for odd n.
+        """
+        h = self.hermite.expr.at_alpha(self.alpha)
+        return -h if self.n % 4 >= 2 else h
 
     def eval(self, k: float) -> complex:
-        re, im = self.amplitude_parts()
-        g = self.ground_value(k)
-        return complex(re.eval(k) * g, im.eval(k) * g)
-
-    @property
-    def singular_at_origin(self) -> bool:
-        """True when the amplitude carries a negative power of |k| (n >= 2, a < 2)."""
-        m = self.hermite.expr.at_alpha(self.alpha).min_exponent
-        return m is not None and m < 0
+        v = self.amplitude().eval(k) * self.ground_value(k)
+        # literal zeros: a product such as 0 * v is -0 for negative v
+        return complex(0.0, v) if self.n % 2 else complex(v, 0.0)
 
 
 def ground_state(alpha) -> KState:

@@ -6,14 +6,16 @@ value psi0(0) = 2 * integral of exp(-(2/3) k^(3/2)) equals the closed-form
 table's leading coefficient 2^(1/3) 3^(2/3) Gamma(5/3); the 1/(2pi) and
 1/sqrt(2pi) conventions miss that anchor by their respective factors.
 
-phi_n(-k) = (-1)^n phi_n(k), so the two-sided integral folds onto k > 0:
+Every term of H_n carries sgn(k)**(n mod 2), and ``KState`` refuses an
+expression with a term of the other parity.  So phi_n = i**(n mod 2) A phi0
+with one real amplitude A (``KState.amplitude``), phi_n(-k) = (-1)^n phi_n(k),
+and the two-sided integral folds onto k > 0:
 
-    even n:  psi = 2 * int_0^inf phi(k) cos(kx) dk      (phi real)
-    odd  n:  psi = 2i * int_0^inf phi(k) sin(kx) dk     (phi imaginary)
+    even n:  psi = 2 * int_0^inf phi(k) cos(kx) dk  =  2 * int_0^inf A phi0 cos(kx) dk
+    odd  n:  psi = 2i * int_0^inf phi(k) sin(kx) dk = -2 * int_0^inf A phi0 sin(kx) dk
 
-and psi is real in both cases because exactly one of Re phi, Im phi is
-structurally zero.  The imaginary residue is still assembled from the
-structurally-zero component and asserted below 1e-12.
+so psi is real in both cases, and the transform computes that one real
+integral per state.
 
 Quadrature: panel_count uniform panels of width h = K / panel_count cover
 [0, K].  The cutoff K is derived from the index: it is the smallest
@@ -63,8 +65,7 @@ if TYPE_CHECKING:
 
 class QuadratureError(RuntimeError):
     """A transform was refused: the state is not integrable at k = 0 or
-    overflows there, some |x| is beyond the rule's reach, or the imaginary
-    residue exceeds 1e-12."""
+    overflows there, or some |x| is beyond the rule's reach."""
 
 
 #: ground-state mass the cutoff may leave beyond it
@@ -73,7 +74,6 @@ _TAIL_LIMIT = 1e-16
 _MIN_CUTOFF = 25
 #: Gauss-Legendre nodes on each panel after the first
 _GL_NODES = 16
-_RESIDUE_LIMIT = 1e-12
 #: share of the integrand's absolute mass the origin cut aims to drop, and may drop at most
 _DROP_TARGET = 1e-17
 _DROP_LIMIT = 1e-16
@@ -176,13 +176,11 @@ class _Integrand:
     """One state's weighted integrand on the rule's nodes.
 
     ``value`` pairs with the kernel to give psi (the sign of the odd fold
-    included), ``residue`` is the structurally-zero part.  Nodes below
-    ``first_finite`` overflowed.  The mass dropped by cutting the rule at
-    node k0 <= 1 is at most ``drop_coeff * k0**power``.
+    included).  Nodes below ``first_finite`` overflowed.  The mass dropped
+    by cutting the rule at node k0 <= 1 is at most ``drop_coeff * k0**power``.
     """
 
     value: np.ndarray
-    residue: np.ndarray
     mass: float
     first_finite: int
     power: float
@@ -204,8 +202,7 @@ def _integrand(
     import numpy as np
 
     odd = state.n % 2
-    re_amp, im_amp = state.amplitude_parts()
-    amp = im_amp if odd else re_amp
+    amp = state.amplitude()
     # odd states gain one origin power from the sin kernel, |sin kx| <= k x_reach
     softened = amp.min_exponent + odd
     if softened <= -1:
@@ -214,23 +211,16 @@ def _integrand(
         )
     e = float(state.ground_exponent)
     with np.errstate(over="ignore", invalid="ignore"):
-        ground = np.exp(-(nodes**e) / e)
-        phi_re = _eval_fixed_on_positive(re_amp, nodes) * ground
-        phi_im = _eval_fixed_on_positive(im_amp, nodes) * ground
-    bad = np.flatnonzero(~(np.isfinite(phi_re) & np.isfinite(phi_im)))
+        phi = _eval_fixed_on_positive(amp, nodes) * np.exp(-(nodes**e) / e)
+    bad = np.flatnonzero(~np.isfinite(phi))
     first = int(bad[-1]) + 1 if bad.size else 0
-    main = np.abs(phi_im if odd else phi_re)[first:] * weights[first:]
+    main = np.abs(phi[first:]) * weights[first:]
     if odd:
         main *= np.minimum(1.0, nodes[first:] * x_reach)
     power = float(softened) + 1
     coeff_sum = sum(abs(float(t.coeff)) for t in amp.terms)
-    if odd:
-        value, residue = -(weights * phi_im), weights * phi_re
-    else:
-        value, residue = weights * phi_re, weights * phi_im
     return _Integrand(
-        value=value,
-        residue=residue,
+        value=-(weights * phi) if odd else weights * phi,
         mass=2.0 * float(np.sum(main)),
         first_finite=first,
         power=power,
@@ -290,8 +280,8 @@ def _x_array(xs: Sequence[float]) -> np.ndarray:
 
 def _transform(
     states: Sequence[KState], x_arr: np.ndarray, cfg: QuadratureConfig
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(psi, imaginary residue) of each state, all of one parity, in one kernel pass."""
+) -> np.ndarray:
+    """psi of each state, all of one parity, in one kernel pass; one row per state."""
     cutoff = max(_cutoff(s.alpha) for s in states)
     width = cutoff / cfg.panel_count
     x_far = float(abs(x_arr).max()) if x_arr.size else 0.0
@@ -304,29 +294,19 @@ def _transform(
     x_reach = max(1.0, x_far) if odd else 1.0
     parts = [_integrand(s, nodes, weights, x_reach) for s in states]
     start = _first_node(states, parts, nodes)
-    columns = [c[start:] for p in parts for c in (p.value, p.residue)]
-    sums = _fourier_sums(x_arr, nodes[start:], columns, odd)
-    out = []
-    for psi, residue in zip(sums[0::2], sums[1::2]):
-        worst = float(abs(residue).max()) if residue.size else 0.0
-        if worst >= _RESIDUE_LIMIT:
-            raise QuadratureError(
-                f"imaginary residue {worst:.3e} exceeds {_RESIDUE_LIMIT}"
-            )
-        out.append((psi, residue))
-    return out
+    return _fourier_sums(x_arr, nodes[start:], [p.value[start:] for p in parts], odd)
 
 
 def inverse_fourier(state: KState, xs: Sequence[float], cfg: QuadratureConfig) -> Grid:
     """Transform a k-space state to the x axis; returns a real-valued Grid.
 
     Raises QuadratureError when some |x| lies beyond the rule's reach
-    (|x| * panel width > 8), the state is not integrable at k = 0 or
-    overflows there, or the imaginary residue exceeds 1e-12.
+    (|x| * panel width > 8), or the state is not integrable at k = 0 or
+    overflows there.
     """
     x_arr = _x_array(xs)
-    [(psi_re, residue)] = _transform([state], x_arr, cfg)
-    values = tuple(complex(r, i) for r, i in zip(psi_re, residue))
+    [psi] = _transform([state], x_arr, cfg)
+    values = tuple(complex(v, 0.0) for v in psi)
     return Grid("x", tuple(float(x) for x in x_arr), values)
 
 
@@ -350,7 +330,7 @@ def nongaussianity_x(alpha, xs: Sequence[float], cfg: QuadratureConfig) -> Grid:
     """
     a = _as_fraction(alpha)
     x_arr = _x_array(xs)
-    (numer, _), (denom, _) = _transform([ground_state(a), ground_state(2)], x_arr, cfg)
+    numer, denom = _transform([ground_state(a), ground_state(2)], x_arr, cfg)
     peak = float(abs(denom).max()) if denom.size else 0.0
     out = []
     for num, den in zip(numer, denom):

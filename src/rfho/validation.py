@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .hermite import rf_hermite, rodrigues_family, standard_reduction
+from .hermite import RFHermite, StructureError, rf_hermite, rodrigues_family, standard_reduction
 from .hyper import closed_form_psi0, closed_form_term_values, eval_closed_form, gaussian_via_pfq
 from .kterms import ALPHA, AlphaPoly, KExpr
 from .operators import (
@@ -109,23 +109,19 @@ def _classical_hermite(n: int) -> list[int]:
     return h
 
 
-def _reduction_coeffs(expr: KExpr) -> list[int]:
-    coeffs: dict[int, Fraction] = {}
-    for t in expr.terms:
-        assert t.exponent.j == 0
-        coeffs[t.exponent.m] = t.coeff.eval(F(0))
-    top = max(coeffs) if coeffs else 0
-    out = [coeffs.get(q, F(0)) for q in range(top + 1)]
-    assert all(c.denominator == 1 for c in out)
-    return [int(c) for c in out]
+def _reduction_coeffs(expr: KExpr) -> list[Fraction]:
+    """Exact coefficients of k**0, k**1, ... in a ``standard_reduction`` result."""
+    coeffs = {t.exponent.m: t.coeff.eval(F(0)) for t in expr.terms}
+    return [coeffs.get(q, F(0)) for q in range(max(coeffs, default=0) + 1)]
 
 
 def crit_classical_reduction(family: Sequence[KExpr] | None = None) -> CriterionResult:
     exprs = list(family) if family is not None else _default_family()
     for n, expr in enumerate(exprs):
-        from .hermite import RFHermite
-
-        reduced = standard_reduction(RFHermite(n, expr))
+        try:
+            reduced = standard_reduction(RFHermite(n, expr))
+        except StructureError as exc:
+            return _result("classical-reduction", False, f"no index-2 reduction at n={n}: {exc}")
         if _reduction_coeffs(reduced) != _classical_hermite(n):
             return _result(
                 "classical-reduction", False,
@@ -134,6 +130,23 @@ def crit_classical_reduction(family: Sequence[KExpr] | None = None) -> Criterion
     return _result(
         "classical-reduction", True,
         f"index-2 reduction equals the three-term oracle for n=0..{len(exprs) - 1}",
+    )
+
+
+def crit_parity_reality(family: Sequence[KExpr] | None = None) -> CriterionResult:
+    """Every term of H_n carries sgn(k)**(n mod 2).
+
+    That premise makes phi_n = i**n H_n phi0 real and even or imaginary and
+    odd, so psi_n is a real cos (even n) or sin (odd n) transform.
+    """
+    exprs = list(family) if family is not None else _default_family()
+    for n, expr in enumerate(exprs):
+        if any(t.sgn_parity != n % 2 for t in expr.terms):
+            return _result("parity-reality", False, f"H_{n} has a term of sgn parity {1 - n % 2}")
+    return _result(
+        "parity-reality", True,
+        f"every term of H_n carries sgn(k)^(n mod 2) for n=0..{len(exprs) - 1}: "
+        "psi_n is a real cos (even n) or sin (odd n) transform",
     )
 
 
@@ -430,8 +443,8 @@ def _moment_series(alpha: Fraction, n: int, xs: Sequence[float], dps: int = 60) 
     alpha = Fraction(alpha)
     b = alpha / 2 + 1
     s = n % 2
-    re_amp, im_amp = excited_state(n, alpha).amplitude_parts()
-    terms = [(-t.coeff if s else t.coeff, t.exponent) for t in (im_amp if s else re_amp).terms]
+    amp = excited_state(n, alpha).amplitude()
+    terms = [(-t.coeff if s else t.coeff, t.exponent) for t in amp.terms]
     out = []
     with mp.workdps(dps):
         series = [(_mpq(c), _Moments(b, q, s), _Moments(b, q, 0)) for c, q in terms]
@@ -487,27 +500,6 @@ def crit_closed_form_alpha32(cfg: QuadratureConfig) -> CriterionResult:
     return _result("closed-form-index-3/2", converged and low_ok, detail)
 
 
-def crit_parity_reality(cfg: QuadratureConfig) -> CriterionResult:
-    for a in _TEST_ALPHAS:
-        for n in range(6):
-            re_amp, im_amp = excited_state(n, a).amplitude_parts()
-            if n % 2 == 0 and not im_amp.is_zero:
-                return _result("parity-reality", False, f"even state n={n} has imaginary content")
-            if n % 2 == 1 and not re_amp.is_zero:
-                return _result("parity-reality", False, f"odd state n={n} has real content")
-    xs = [i * 0.2 - 3.0 for i in range(31)]
-    worst = 0.0
-    for a in _TEST_ALPHAS:
-        for n in range(4):
-            grid = inverse_fourier(excited_state(n, a), xs, cfg)
-            worst = max(worst, max(abs(v.imag) for v in grid.values))
-    ok = worst < 1e-12
-    return _result(
-        "parity-reality", ok,
-        f"k-space parity exact by representation; max x-space imaginary residue {worst:.2e}",
-    )
-
-
 def crit_nongaussianity(cfg: QuadratureConfig) -> CriterionResult:
     ks = [i * 0.05 for i in range(1, 35)]            # (0, 1.7]
     flat_k = nongaussianity_k(F(2), [i * 0.25 - 3.0 for i in range(25)])
@@ -548,7 +540,7 @@ def run_all(cfg: QuadratureConfig | None = None) -> list[CriterionResult]:
         lambda: crit_calibration(cfg),
         lambda: crit_closed_form_alpha1(cfg),
         lambda: crit_closed_form_alpha32(cfg),
-        lambda: crit_parity_reality(cfg),
+        crit_parity_reality,
         lambda: crit_nongaussianity(cfg),
         info_hermite4,
         info_theta_term,

@@ -5,8 +5,10 @@ a red criterion fails the suite. The two documented-discrepancy entries
 are informational by design and are checked to stay that way.
 """
 
+from fractions import Fraction as F
+
 from rfho import validation as v
-from rfho.hermite import LADDER_FACTOR
+from rfho.hermite import LADDER_FACTOR, rf_hermite
 from rfho.kterms import KExpr
 from rfho.transform import QuadratureConfig
 
@@ -79,7 +81,7 @@ def test_criterion_closed_form_index32_gates_low_terms(monkeypatch):
 
 
 def test_criterion_parity_reality():
-    _report(v.crit_parity_reality(CFG))
+    _report(v.crit_parity_reality())
 
 
 def test_criterion_nongaussianity():
@@ -112,6 +114,23 @@ def test_mutation_sanity():
     broken = _family_with_sign_error(6)
     assert not v.crit_ladder_rodrigues(broken).passed
     assert not v.crit_classical_reduction(broken).passed
+
+
+def test_classical_reduction_fails_a_scaled_member():
+    # 5/4 H_1 reduces to (5/2) k; the check must compare exact coefficients
+    family = [rf_hermite(n).expr for n in range(4)]
+    family[1] = family[1].scale(F(5, 4))
+    assert v.crit_classical_reduction(family).passed is False
+
+
+def test_parity_criterion_fails_a_wrong_parity_member():
+    family = [rf_hermite(n).expr for n in range(4)]
+    family[1] = KExpr.one()
+    result = v.crit_parity_reality(family)
+    assert result.passed is False
+    assert "H_1" in result.detail
+    # no index-2 reduction exists for it; the criterion fails instead of raising
+    assert v.crit_classical_reduction(family).passed is False
 
 
 def test_run_all_shape():

@@ -21,7 +21,7 @@ from rfho.operators import (
     scaled_remainder,
 )
 from rfho.kterms import FixedKExpr
-from rfho.spectral import ground_state
+from rfho.spectral import excited_state, ground_state
 
 
 def test_commutation_axiom_halfline():
@@ -191,6 +191,23 @@ class TestFourierRemainder:
     def test_integer_theta_only(self):
         with pytest.raises(ValueError):
             fourier_remainder(F(2), F(2), F(1, 2))
+
+    @pytest.mark.parametrize(
+        "gamma,delta,theta", [(F(2), F(1), 0), (F(3, 2), F(3, 2), 1), (F(1, 2), F(5, 2), -1)]
+    )
+    def test_applied_matches_finite_difference(self, gamma, delta, theta):
+        # c0 phi_n + c1 phi_n', with phi_n' a central difference of the state
+        fr = fourier_remainder(gamma, delta, theta)
+        h = 1e-5
+        for alpha in (F(1), F(3, 2), F(2)):
+            for n in range(5):
+                state = excited_state(n, alpha)
+                for k in (0.7, -1.3, 2.1):
+                    phi = state.eval(k)
+                    dphi = (state.eval(k + h) - state.eval(k - h)) / (2 * h)
+                    ref = fr.c0.eval(k) * phi + fr.c1.eval(k) * dphi
+                    got = fr.eval_applied(state, k)
+                    assert abs(got - ref) <= 1e-7 * max(abs(ref), abs(phi))
 
 
 @given(

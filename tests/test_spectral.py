@@ -5,9 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from rfho.hermite import RFHermite, rf_hermite
 from rfho.kterms import DomainError, KExpr
 from rfho.spectral import (
-    SymbolSpec,
+    KState,
     excited_state,
     ground_kernel_residual,
     ground_state,
@@ -33,11 +34,6 @@ class TestSymbol:
         with pytest.raises(ValueError):
             symbol_eval(F(-1, 2), 0, 0.0)
 
-    def test_admissibility_diamond(self):
-        assert SymbolSpec(F(3, 2), F(1, 2)).in_diamond
-        assert not SymbolSpec(F(3, 2), F(3, 4)).in_diamond
-        assert SymbolSpec(F(1), F(1)).in_diamond  # boundary included
-
 
 class TestStates:
     def test_ground_value(self):
@@ -59,18 +55,23 @@ class TestStates:
             else:
                 assert a == pytest.approx(-b)
 
-    def test_amplitude_parts_exclusive(self):
+    def test_amplitude_carries_the_phase(self):
+        # phi_n = i**n H_n phi0 from one real amplitude; the other part is +0.0
         for n in range(7):
-            re_amp, im_amp = excited_state(n, F(1)).amplitude_parts()
-            if n % 2 == 0:
-                assert im_amp.is_zero
-            else:
-                assert re_amp.is_zero
+            st = excited_state(n, F(3, 2))
+            h = st.hermite.expr.at_alpha(F(3, 2))
+            for k in (-1.3, 0.7):
+                v = st.eval(k)
+                assert v == pytest.approx(1j**n * h.eval(k) * st.ground_value(k), rel=1e-15)
+                assert math.copysign(1.0, v.real if n % 2 else v.imag) == 1.0
 
-    def test_singular_flag(self):
-        assert excited_state(2, F(1)).singular_at_origin
-        assert not excited_state(2, F(2)).singular_at_origin
-        assert not ground_state(F(1)).singular_at_origin
+    def test_wrong_parity_term_refused(self):
+        # a term of the other sgn parity would make psi_n complex, not real
+        with pytest.raises(ValueError, match="parity"):
+            KState(1, F(1), RFHermite(1, KExpr.one()))
+        mixed = rf_hermite(2).expr + KExpr.monomial(1, 1, 0, 0)
+        with pytest.raises(ValueError, match="parity"):
+            KState(2, F(1), RFHermite(2, mixed))
 
     def test_index_range(self):
         with pytest.raises(ValueError):

@@ -78,10 +78,11 @@ class TestFractionalGround:
             assert v.real == pytest.approx(pinned[x], rel=1e-10)
 
     def test_imaginary_residue_is_structural_zero(self):
+        # +0.0, not -0.0, at negative x too
         for alpha in (F(1), F(3, 2), F(2)):
             for n in range(4):
-                grid = _psi(excited_state(n, alpha), [0.0, 0.7, 2.1])
-                assert all(v.imag == 0.0 for v in grid.values)
+                grid = _psi(excited_state(n, alpha), [-2.1, -0.7, 0.0, 0.7, 2.1])
+                assert all(math.copysign(1.0, v.imag) == 1.0 and v.imag == 0.0 for v in grid.values)
 
 
 class TestCutoff:
