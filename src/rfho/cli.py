@@ -27,7 +27,6 @@ from .operators import (
 from .spectral import excited_state, sample_local_eigenvalue, sample_regular
 from .transform import (
     Grid,
-    QuadratureConfig,
     QuadratureError,
     inverse_fourier,
     nongaussianity_k,
@@ -148,7 +147,7 @@ def cmd_hermite(args: argparse.Namespace) -> int:
 def cmd_state(args: argparse.Namespace) -> int:
     state = excited_state(args.n, args.alpha)
     if args.space == "x":
-        grid = inverse_fourier(state, args.grid.points(), QuadratureConfig())
+        grid = inverse_fourier(state, args.grid.points())
     else:
         pts, vals = sample_regular(state.eval, args.grid.points())
         grid = Grid("k", tuple(pts), tuple(vals))
@@ -165,7 +164,7 @@ def cmd_eigenvalue(args: argparse.Namespace) -> int:
 def cmd_nongauss(args: argparse.Namespace) -> int:
     pts = args.grid.points()
     if args.space == "x":
-        grid = nongaussianity_x(args.alpha, pts, QuadratureConfig())
+        grid = nongaussianity_x(args.alpha, pts)
     else:
         grid = nongaussianity_k(args.alpha, pts)
     _emit_grid(grid, args)

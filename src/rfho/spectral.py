@@ -40,33 +40,35 @@ from .hermite import RFHermite, rf_hermite
 from .kterms import AlphaPoly, DomainError, FixedKExpr, KExpr, _as_fraction
 
 
-@dataclass(frozen=True)
-class SymbolSpec:
-    """Power symbol |k|**order * exp(i sgn(k) * asymmetry * pi/2)."""
+def half_turn(theta) -> tuple[float, float]:
+    """(cos, sin) of theta pi/2 for any rational theta.
 
-    order: Fraction
-    asymmetry: Fraction = Fraction(0)
-
-    def eval(self, k: float) -> complex:
-        kf = float(k)
-        if kf == 0.0:
-            if self.order < 0:
-                raise ValueError("negative-order symbol diverges at k = 0")
-            return 0j if self.order > 0 else complex(1.0)
-        sign = 1.0 if kf > 0 else -1.0
-        mag = abs(kf) ** float(self.order)
-        phase = sign * float(self.asymmetry) * math.pi / 2
-        return mag * cmath.exp(1j * phase)
+    theta is reduced exactly into (-2, 2] before it becomes a float, so
+    theta + 4m gives the same values however large m is.  An integer
+    theta takes exact ints (in floats exp(i pi) is -1 + 1.2e-16i).
+    """
+    th = _as_fraction(theta)
+    th -= 4 * math.ceil((th - 2) / 4)
+    if th.denominator == 1:
+        return ((1, 0), (0, 1), (-1, 0), (0, -1))[int(th) % 4]
+    angle = float(th) * math.pi / 2
+    return math.cos(angle), math.sin(angle)
 
 
 def symbol_eval(order, asymmetry, k: float) -> complex:
-    """Convenience wrapper: value of the power symbol at one point."""
-    return SymbolSpec(_as_fraction(order), _as_fraction(asymmetry)).eval(k)
+    """Power symbol |k|**order * exp(i sgn(k) asymmetry pi/2) at one point.
 
-
-def half_turn(r: int) -> tuple[int, int]:
-    """Exact (cos, sin) of r pi/2 for integer r."""
-    return ((1, 0), (0, 1), (-1, 0), (0, -1))[r % 4]
+    Raises DomainError at k = 0 for a negative order, where it diverges.
+    """
+    q = _as_fraction(order)
+    kf = float(k)
+    if kf == 0.0:
+        if q < 0:
+            raise DomainError("negative-order symbol diverges at k = 0")
+        return 0j if q > 0 else complex(1.0)
+    cos, sin = half_turn(asymmetry)
+    mag = abs(kf) ** float(q)
+    return complex(mag * cos, mag * sin if kf > 0 else -mag * sin)
 
 
 #: sgn(k)|k|**(a/2), minus the log-derivative of the ground state
@@ -134,13 +136,21 @@ def ground_kernel_residual() -> KExpr:
 
 
 def kernel_residual_at(alpha, k: float) -> complex:
-    """Numeric lowering residue [S_{a/2,1} phi0 + i phi0'](k), zero up to rounding."""
+    """Numeric lowering residue [S_{a/2,1} phi0 + i phi0'](k), zero up to rounding.
+
+    phi0' is the complex step Im phi0(k + ih) / h, independent of the
+    symbol; it needs phi0 analytic at k, so k = 0 raises DomainError.
+    """
+    kf = float(k)
+    if kf == 0.0:
+        raise DomainError("the complex-step derivative needs k != 0")
     a = _as_fraction(alpha)
-    state = ground_state(a)
-    g = state.ground_value(k)
-    sym = symbol_eval(a / 2, 1, k)
-    dphi = -S_EXPR.at_alpha(a).eval(k) * g
-    return sym * g + 1j * dphi
+    g = ground_state(a).ground_value(kf)
+    e = float(a / 2 + 1)
+    h = 1e-20
+    z = complex(abs(kf), h if kf > 0 else -h)  # sgn(k) (k + ih): |k|**e continued
+    dphi = cmath.exp(-(z**e) / e).imag / h
+    return symbol_eval(a / 2, 1, kf) * g + 1j * dphi
 
 
 @dataclass(frozen=True)
@@ -187,7 +197,7 @@ def local_eigenvalue(n: int, alpha, theta=0) -> LocalEigenvalue:
             "exact symbolic eigenvalues require integer asymmetry; "
             "use sample_local_eigenvalue for general rational theta"
         )
-    cos_half, sin_half = half_turn(int(th))
+    cos_half, sin_half = half_turn(th)
 
     h = rf_hermite(n).expr
     h1 = h.differentiate()
@@ -230,27 +240,18 @@ def sample_local_eigenvalue(
     asymmetry correction (exp(i sgn(k) theta pi/2) - 1) |k|**a / a, which
     is how theta enters the multiplication symbol.  Singular points are
     left out, as in ``sample_regular``; returns (kept points, values).
-    theta enters only through a phase of period 4, so it is reduced
-    exactly into (-2, 2] before it becomes a float; a theta of 4m gives
-    the theta = 0 values.  An integer theta takes its phase from the exact
-    ``half_turn`` table, so theta = 2 adds no imaginary part (in floats
-    exp(i pi) is -1 + 1.2e-16i).  At theta = 0 nothing is added, so signed
-    zeros survive.
+    The phase comes from ``half_turn``; where it is 1 nothing is added,
+    so signed zeros survive.
     """
     a = float(_as_fraction(alpha))
-    th = _as_fraction(theta)
-    th -= 4 * math.ceil((th - 2) / 4)
-    if th.denominator == 1:
-        cos, sin = half_turn(int(th))
-    else:
-        angle = float(th) * math.pi / 2
-        cos, sin = math.cos(angle), math.sin(angle)
+    cos, sin = half_turn(theta)
+    skewed = (cos, sin) != (1, 0)
     base = local_eigenvalue(n, alpha, 0)
 
     def lam(k: float) -> complex:
         value = base.eval(k)
         kf = float(k)
-        if kf != 0.0 and th != 0:
+        if kf != 0.0 and skewed:
             sign = 1.0 if kf > 0 else -1.0
             value += (complex(cos, sign * sin) - 1.0) * abs(kf) ** a / a
         return value
@@ -262,10 +263,10 @@ __all__ = [
     "KState",
     "LocalEigenvalue",
     "S_EXPR",
-    "SymbolSpec",
     "excited_state",
     "ground_kernel_residual",
     "ground_state",
+    "half_turn",
     "kernel_residual_at",
     "local_eigenvalue",
     "sample_local_eigenvalue",

@@ -17,8 +17,9 @@ and the two-sided integral folds onto k > 0:
 so psi is real in both cases, and the transform computes that one real
 integral per state.
 
-Quadrature: panel_count uniform panels of width h = K / panel_count cover
-[0, K].  The cutoff K is derived from the index: it is the smallest
+Quadrature: PANEL_COUNT = 200 uniform panels of width h = K / 200 cover
+[0, K]; only ``inverse_fourier`` takes another count, as the keyword
+``panel_count``.  The cutoff K is derived from the index: it is the smallest
 integer K >= 25 whose ground-state tail exp(-K**e / e), e = alpha/2 + 1,
 is below 1e-16.  That is K = 25 for every alpha >= 0.35, 26 at 1/3, 29
 at 1/5, 33 at 1/10 and 37 as alpha -> 0; a shared pass over several
@@ -36,7 +37,7 @@ and the transform is refused if the dropped mass bound then exceeds
 
 Reach: a Gauss-Legendre panel of width h resolves cos(kx) only while
 |x| h is small, so a transform is refused when some |x| h exceeds 8,
-that is |x| > 64 at K = 25 with 200 panels (128 with panel_count
+that is |x| > 64 at K = 25 with 200 panels (128 with the panel count
 doubled, 55.2 at index 1/5).  Up to x = 64 the states n = 0, 1 at
 indices 1/2, 1 and 3/2 agree with an 800-panel rule to 1e-16 of their
 peak; at x = 100 they are off by 7e-14 and at x = 200 by 1e-8.
@@ -81,6 +82,8 @@ _DROP_LIMIT = 1e-16
 _REACH = 8.0
 #: x rows whose cos/sin kernel is held at once
 _BLOCK_ROWS = 128
+#: uniform panels covering [0, K]: 77 tanh-sinh nodes + 199 * 16 Gauss-Legendre = 3261
+PANEL_COUNT = 200
 #: tanh-sinh abscissae t = j * _TS_STEP, j = _TS_FIRST.._TS_LAST; at t = -6 the
 #: node sits 6e-276 panel widths from k = 0, at t = 3.5 its weight is 2e-22 widths
 _TS_STEP = 1 / 8
@@ -104,25 +107,6 @@ class Grid:
         for a, b in zip(self.points, self.points[1:]):
             if not a < b:
                 raise ValueError("points must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Panel quadrature settings: the number of panels covering [0, K].
-
-    The cutoff K follows from the states' index (see the module
-    docstring).  The first panel, next to the origin singularity, is a
-    tanh-sinh panel of 77 nodes cut on the left per state; each other
-    panel has 16 Gauss-Legendre nodes.  The default rule has
-    77 + 199 * 16 = 3261 nodes, and doubling panel_count halves every
-    panel.
-    """
-
-    panel_count: int = 200
-
-    def __post_init__(self) -> None:
-        if self.panel_count < 1:
-            raise ValueError("panel count must be positive")
 
 
 def _cutoff(alpha) -> int:
@@ -278,18 +262,18 @@ def _x_array(xs: Sequence[float]) -> np.ndarray:
     return x_arr
 
 
-def _transform(
-    states: Sequence[KState], x_arr: np.ndarray, cfg: QuadratureConfig
-) -> np.ndarray:
+def _transform(states: Sequence[KState], x_arr: np.ndarray, panel_count: int) -> np.ndarray:
     """psi of each state, all of one parity, in one kernel pass; one row per state."""
+    if panel_count < 1:
+        raise ValueError("panel count must be positive")
     cutoff = max(_cutoff(s.alpha) for s in states)
-    width = cutoff / cfg.panel_count
+    width = cutoff / panel_count
     x_far = float(abs(x_arr).max()) if x_arr.size else 0.0
     if x_far * width > _REACH:
         raise QuadratureError(
             f"|x| = {x_far:.6g} is beyond the rule's reach |x| <= {_REACH / width:g}"
         )
-    nodes, weights = _nodes_and_weights(cutoff, cfg.panel_count)
+    nodes, weights = _nodes_and_weights(cutoff, panel_count)
     odd = states[0].n % 2 == 1
     x_reach = max(1.0, x_far) if odd else 1.0
     parts = [_integrand(s, nodes, weights, x_reach) for s in states]
@@ -297,15 +281,18 @@ def _transform(
     return _fourier_sums(x_arr, nodes[start:], [p.value[start:] for p in parts], odd)
 
 
-def inverse_fourier(state: KState, xs: Sequence[float], cfg: QuadratureConfig) -> Grid:
+def inverse_fourier(
+    state: KState, xs: Sequence[float], *, panel_count: int = PANEL_COUNT
+) -> Grid:
     """Transform a k-space state to the x axis; returns a real-valued Grid.
 
-    Raises QuadratureError when some |x| lies beyond the rule's reach
-    (|x| * panel width > 8), or the state is not integrable at k = 0 or
-    overflows there.
+    ``panel_count`` panels cover [0, K]; doubling it halves each panel.
+    Raises ValueError for a count below 1, and QuadratureError when some
+    |x| lies beyond the rule's reach (|x| * panel width > 8), or the state
+    is not integrable at k = 0 or overflows there.
     """
     x_arr = _x_array(xs)
-    [psi] = _transform([state], x_arr, cfg)
+    [psi] = _transform([state], x_arr, panel_count)
     values = tuple(complex(v, 0.0) for v in psi)
     return Grid("x", tuple(float(x) for x in x_arr), values)
 
@@ -321,7 +308,7 @@ def nongaussianity_k(alpha, ks: Sequence[float]) -> Grid:
     return Grid("k", pts, values)
 
 
-def nongaussianity_x(alpha, xs: Sequence[float], cfg: QuadratureConfig) -> Grid:
+def nongaussianity_x(alpha, xs: Sequence[float]) -> Grid:
     """1 - psi0_alpha(x) / psi0_2(x) under one shared transform convention.
 
     Both ground states are even and go through one kernel pass on the same
@@ -330,7 +317,7 @@ def nongaussianity_x(alpha, xs: Sequence[float], cfg: QuadratureConfig) -> Grid:
     """
     a = _as_fraction(alpha)
     x_arr = _x_array(xs)
-    numer, denom = _transform([ground_state(a), ground_state(2)], x_arr, cfg)
+    numer, denom = _transform([ground_state(a), ground_state(2)], x_arr, PANEL_COUNT)
     peak = float(abs(denom).max()) if denom.size else 0.0
     out = []
     for num, den in zip(numer, denom):
@@ -343,7 +330,7 @@ def nongaussianity_x(alpha, xs: Sequence[float], cfg: QuadratureConfig) -> Grid:
 
 __all__ = [
     "Grid",
-    "QuadratureConfig",
+    "PANEL_COUNT",
     "QuadratureError",
     "inverse_fourier",
     "nongaussianity_k",

@@ -26,9 +26,9 @@ the exact subcommands start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .hermite import RFHermite, StructureError, rf_hermite, rodrigues_family, standard_reduction
 from .hyper import closed_form_psi0, closed_form_term_values, eval_closed_form, gaussian_via_pfq
@@ -51,7 +51,7 @@ from .spectral import (
     kernel_residual_at,
     local_eigenvalue,
 )
-from .transform import Grid, QuadratureConfig, inverse_fourier, nongaussianity_k, nongaussianity_x
+from .transform import PANEL_COUNT, inverse_fourier, nongaussianity_k, nongaussianity_x
 
 F = Fraction
 
@@ -317,8 +317,8 @@ def crit_gaussian_identity() -> CriterionResult:
     return _result("gaussian-identity", ok, f"max |residual| = {worst:.2e} on [0,4] (limit 1e-12)")
 
 
-def crit_calibration(cfg: QuadratureConfig) -> CriterionResult:
-    psi = inverse_fourier(ground_state(1), [0.0], cfg)
+def crit_calibration() -> CriterionResult:
+    psi = inverse_fourier(ground_state(1), [0.0])
     a0 = float(closed_form_psi0(F(1)).a_values()[0])
     rel = abs(psi.values[0].real - a0) / a0
     ok = rel < 1e-10
@@ -332,12 +332,8 @@ def _x_grid() -> list[float]:
     return [3.0 * i / 60 for i in range(61)]
 
 
-def _quad_psi0(alpha: Fraction, cfg: QuadratureConfig) -> Grid:
-    return inverse_fourier(ground_state(alpha), _x_grid(), cfg)
-
-
-def crit_closed_form_alpha1(cfg: QuadratureConfig) -> CriterionResult:
-    grid = _quad_psi0(F(1), cfg)
+def crit_closed_form_alpha1() -> CriterionResult:
+    grid = inverse_fourier(ground_state(F(1)), _x_grid())
     peak = grid.values[0].real
     table = closed_form_psi0(F(1))
     worst = max(
@@ -461,8 +457,8 @@ def _moment_series(alpha: Fraction, n: int, xs: Sequence[float], dps: int = 60) 
     return out
 
 
-def crit_closed_form_alpha32(cfg: QuadratureConfig) -> CriterionResult:
-    grid = _quad_psi0(F(3, 2), cfg)
+def crit_closed_form_alpha32() -> CriterionResult:
+    grid = inverse_fourier(ground_state(F(3, 2)), _x_grid())
     peak = grid.values[0].real
     table = closed_form_psi0(F(3, 2))
     overall = max(
@@ -485,8 +481,7 @@ def crit_closed_form_alpha32(cfg: QuadratureConfig) -> CriterionResult:
     low = max(abs(ratio - 1) for ratio in ratios[:3])
     low_ok = low < 1e-9
 
-    dense = replace(cfg, panel_count=cfg.panel_count * 2)
-    grid2 = _quad_psi0(F(3, 2), dense)
+    grid2 = inverse_fourier(ground_state(F(3, 2)), _x_grid(), panel_count=2 * PANEL_COUNT)
     drift = max(abs(a.real - b.real) for a, b in zip(grid.values, grid2.values))
     converged = drift < 1e-10
 
@@ -500,13 +495,13 @@ def crit_closed_form_alpha32(cfg: QuadratureConfig) -> CriterionResult:
     return _result("closed-form-index-3/2", converged and low_ok, detail)
 
 
-def crit_nongaussianity(cfg: QuadratureConfig) -> CriterionResult:
+def crit_nongaussianity() -> CriterionResult:
     ks = [i * 0.05 for i in range(1, 35)]            # (0, 1.7]
     flat_k = nongaussianity_k(F(2), [i * 0.25 - 3.0 for i in range(25)])
     if any(v != 0 for v in flat_k.values):
         return _result("non-gaussianity", False, "k-space measure at index 2 is not exactly zero")
     xs = [i * 0.25 for i in range(13)]
-    flat_x = nongaussianity_x(F(2), xs, cfg)
+    flat_x = nongaussianity_x(F(2), xs)
     if any(v != 0 for v in flat_x.values):
         return _result("non-gaussianity", False, "x-space measure at index 2 is not exactly zero")
     eta1 = [v.real for v in nongaussianity_k(F(1), ks).values]
@@ -527,9 +522,8 @@ def crit_nongaussianity(cfg: QuadratureConfig) -> CriterionResult:
 
 # ---------------------------------------------------------------------------
 
-def run_all(cfg: QuadratureConfig | None = None) -> list[CriterionResult]:
-    cfg = cfg or QuadratureConfig()
-    checks: list[Callable[[], CriterionResult]] = [
+def run_all() -> list[CriterionResult]:
+    checks = [
         crit_ladder_rodrigues,
         crit_classical_reduction,
         crit_printed_family,
@@ -537,11 +531,11 @@ def run_all(cfg: QuadratureConfig | None = None) -> list[CriterionResult]:
         crit_kernel,
         crit_factorization,
         crit_gaussian_identity,
-        lambda: crit_calibration(cfg),
-        lambda: crit_closed_form_alpha1(cfg),
-        lambda: crit_closed_form_alpha32(cfg),
+        crit_calibration,
+        crit_closed_form_alpha1,
+        crit_closed_form_alpha32,
         crit_parity_reality,
-        lambda: crit_nongaussianity(cfg),
+        crit_nongaussianity,
         info_hermite4,
         info_theta_term,
     ]

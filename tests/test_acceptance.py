@@ -10,9 +10,6 @@ from fractions import Fraction as F
 from rfho import validation as v
 from rfho.hermite import LADDER_FACTOR, rf_hermite
 from rfho.kterms import KExpr
-from rfho.transform import QuadratureConfig
-
-CFG = QuadratureConfig()
 
 
 def _report(result):
@@ -40,6 +37,17 @@ def test_criterion_kernel_check():
     _report(v.crit_kernel())
 
 
+def test_criterion_kernel_fails_on_conjugate_phase(monkeypatch):
+    # phi0' comes from a complex step, not from the symbol's own algebra,
+    # so a wrong sign on the symbol's phase must show
+    from rfho import spectral
+
+    symbol = spectral.symbol_eval
+    monkeypatch.setattr(spectral, "symbol_eval", lambda q, th, k: symbol(q, th, k).conjugate())
+    result = v.crit_kernel()
+    assert not result.passed, result.detail
+
+
 def test_criterion_factorization_identities():
     _report(v.crit_factorization())
 
@@ -49,15 +57,15 @@ def test_criterion_gaussian_hypergeometric_identity():
 
 
 def test_criterion_transform_calibration():
-    _report(v.crit_calibration(CFG))
+    _report(v.crit_calibration())
 
 
 def test_criterion_closed_form_index1_crosscheck():
-    _report(v.crit_closed_form_alpha1(CFG))
+    _report(v.crit_closed_form_alpha1())
 
 
 def test_criterion_closed_form_index32_crosscheck():
-    result = v.crit_closed_form_alpha32(CFG)
+    result = v.crit_closed_form_alpha32()
     _report(result)
     # the per-term audit must surface the transcription slips, not hide them
     assert "term m=3" in result.detail
@@ -75,7 +83,7 @@ def test_criterion_closed_form_index32_gates_low_terms(monkeypatch):
         return values
 
     monkeypatch.setattr(v, "closed_form_term_values", slipped)
-    result = v.crit_closed_form_alpha32(CFG)
+    result = v.crit_closed_form_alpha32()
     assert not result.passed
     assert "lowest three terms" in result.detail
 
@@ -85,7 +93,7 @@ def test_criterion_parity_reality():
 
 
 def test_criterion_nongaussianity():
-    _report(v.crit_nongaussianity(CFG))
+    _report(v.crit_nongaussianity())
 
 
 def test_informational_entries_present_and_not_failures():
@@ -134,7 +142,7 @@ def test_parity_criterion_fails_a_wrong_parity_member():
 
 
 def test_run_all_shape():
-    results = v.run_all(CFG)
+    results = v.run_all()
     assert len(results) == 14
     assert len({r.name for r in results}) == 14
     assert sum(r.kind == "primary" for r in results) == 12

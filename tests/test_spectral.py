@@ -34,6 +34,18 @@ class TestSymbol:
         with pytest.raises(ValueError):
             symbol_eval(F(-1, 2), 0, 0.0)
 
+    def test_symbol_phase_is_reduced_exactly(self):
+        # exp(i pi) in floats is -1 + 1.2e-16i; an integer asymmetry takes the exact phase
+        for k in (-2.0, -0.5, 0.5, 3.0):
+            assert symbol_eval(1, 2, k).imag == 0.0
+        # the phase has period 4, so theta must be reduced before it becomes a float
+        for theta in (F(1), F(1, 2), F(-1, 3)):
+            for k in (-2.0, 0.7):
+                assert symbol_eval(F(3, 2), theta + 4 * 10**20, k) == symbol_eval(F(3, 2), theta, k)
+        assert symbol_eval(F(3, 2), 10**400, -2.0) == symbol_eval(F(3, 2), 0, -2.0)
+        with pytest.raises(DomainError):
+            symbol_eval(F(-1, 2), 1, 0.0)
+
 
 class TestStates:
     def test_ground_value(self):
@@ -88,6 +100,10 @@ class TestKernel:
         for a in (F(1), F(3, 2), F(2)):
             for k in (0.3, -0.3, 1.0, -1.0, 2.5, -2.5):
                 assert abs(kernel_residual_at(a, k)) < 1e-12
+
+    def test_numeric_residual_needs_nonzero_k(self):
+        with pytest.raises(DomainError):
+            kernel_residual_at(F(1), 0.0)
 
 
 class TestEigenvalues:

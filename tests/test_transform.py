@@ -12,15 +12,12 @@ from rfho import transform
 from rfho.spectral import excited_state, ground_state
 from rfho.transform import (
     Grid,
-    QuadratureConfig,
     QuadratureError,
     inverse_fourier,
     nongaussianity_k,
     nongaussianity_x,
 )
 from rfho.validation import _moment_series
-
-CFG = QuadratureConfig()
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -41,14 +38,10 @@ PSI0_INDEX32 = {
 }
 
 
-def _psi(state, xs, cfg=CFG):
-    return inverse_fourier(state, xs, cfg)
-
-
 class TestGaussianBaseline:
     def test_ground_index2_is_gaussian(self):
         xs = [0.0, 0.5, 1.0, 2.0]
-        grid = _psi(ground_state(F(2)), xs)
+        grid = inverse_fourier(ground_state(F(2)), xs)
         for x, v in zip(grid.points, grid.values):
             assert v.real == pytest.approx(SQRT_2PI * math.exp(-x * x / 2), rel=1e-12)
             assert v.imag == 0.0
@@ -63,7 +56,7 @@ class TestGaussianBaseline:
             4: lambda x: 16 * x ** 4 - 48 * x * x + 12,
         }
         for n, hn in cases.items():
-            grid = _psi(excited_state(n, F(2)), [0.3, 1.0, 1.7])
+            grid = inverse_fourier(excited_state(n, F(2)), [0.3, 1.0, 1.7])
             for x, v in zip(grid.points, grid.values):
                 want = SQRT_2PI * hn(x) * math.exp(-x * x / 2)
                 assert v.real == pytest.approx(want, rel=1e-10, abs=1e-10)
@@ -73,7 +66,7 @@ class TestFractionalGround:
     @pytest.mark.parametrize("alpha,pinned", [(F(1), PSI0_INDEX1), (F(3, 2), PSI0_INDEX32)])
     def test_pinned_values(self, alpha, pinned):
         xs = sorted(pinned)
-        grid = _psi(ground_state(alpha), xs)
+        grid = inverse_fourier(ground_state(alpha), xs)
         for x, v in zip(grid.points, grid.values):
             assert v.real == pytest.approx(pinned[x], rel=1e-10)
 
@@ -81,7 +74,7 @@ class TestFractionalGround:
         # +0.0, not -0.0, at negative x too
         for alpha in (F(1), F(3, 2), F(2)):
             for n in range(4):
-                grid = _psi(excited_state(n, alpha), [-2.1, -0.7, 0.0, 0.7, 2.1])
+                grid = inverse_fourier(excited_state(n, alpha), [-2.1, -0.7, 0.0, 0.7, 2.1])
                 assert all(math.copysign(1.0, v.imag) == 1.0 and v.imag == 0.0 for v in grid.values)
 
 
@@ -102,37 +95,40 @@ class TestGuards:
     def test_panel_count_checked(self):
         for bad in (0, -3):
             with pytest.raises(ValueError):
-                QuadratureConfig(panel_count=bad)
-        QuadratureConfig(panel_count=1)
+                inverse_fourier(ground_state(F(1)), [0.0], panel_count=bad)
+        inverse_fourier(ground_state(F(1)), [0.0], panel_count=1)
+        # the count is keyword-only, so a third positional argument fails loudly
+        with pytest.raises(TypeError):
+            inverse_fourier(ground_state(F(1)), [0.0], 400)
 
     def test_divergent_state_rejected(self):
         with pytest.raises(QuadratureError):
-            _psi(excited_state(4, F(1)), [0.0])
+            inverse_fourier(excited_state(4, F(1)), [0.0])
 
     def test_x_beyond_reach_refused(self):
         # |x| * panel width may reach 8: |x| = 64 on the default rule
-        inverse_fourier(ground_state(F(1)), [-64.0, 0.0, 64.0], CFG)
+        inverse_fourier(ground_state(F(1)), [-64.0, 0.0, 64.0])
         for state in (ground_state(F(1)), excited_state(1, F(3, 2))):
             with pytest.raises(QuadratureError, match="reach"):
-                inverse_fourier(state, [0.0, 200.0], CFG)
+                inverse_fourier(state, [0.0, 200.0])
         with pytest.raises(QuadratureError, match="reach"):
-            nongaussianity_x(F(1, 2), [-200.0, 0.0], CFG)
+            nongaussianity_x(F(1, 2), [-200.0, 0.0])
         # halving the panels doubles the reach
-        inverse_fourier(ground_state(F(1)), [128.0], QuadratureConfig(panel_count=400))
+        inverse_fourier(ground_state(F(1)), [128.0], panel_count=400)
         # index 1/5 needs K = 29, so the reach is 8 * 200 / 29 = 55.2
-        inverse_fourier(ground_state(F(1, 5)), [-55.0, 55.0], CFG)
+        inverse_fourier(ground_state(F(1, 5)), [-55.0, 55.0])
         with pytest.raises(QuadratureError, match="reach"):
-            inverse_fourier(ground_state(F(1, 5)), [56.0], CFG)
+            inverse_fourier(ground_state(F(1, 5)), [56.0])
         with pytest.raises(QuadratureError, match="reach"):
-            nongaussianity_x(F(1, 5), [56.0], CFG)
+            nongaussianity_x(F(1, 5), [56.0])
 
     def test_index2_polynomial_states_fine_at_n4(self):
-        grid = _psi(excited_state(4, F(2)), [0.0])
+        grid = inverse_fourier(excited_state(4, F(2)), [0.0])
         assert grid.values[0].real == pytest.approx(12 * SQRT_2PI, rel=1e-10)
 
     def test_unsorted_points_rejected(self):
         with pytest.raises(ValueError):
-            _psi(ground_state(F(2)), [1.0, 0.0])
+            inverse_fourier(ground_state(F(2)), [1.0, 0.0])
 
     def test_grid_type_invariants(self):
         with pytest.raises(ValueError):
@@ -147,7 +143,7 @@ class TestNonGaussianity:
         assert all(v == 0 for v in grid.values)
 
     def test_index2_exactly_zero_in_x(self):
-        grid = nongaussianity_x(F(2), [0.0, 0.5, 1.0, 2.0], CFG)
+        grid = nongaussianity_x(F(2), [0.0, 0.5, 1.0, 2.0])
         assert all(v == 0 for v in grid.values)
 
     def test_index1_crossing(self):
@@ -158,12 +154,12 @@ class TestNonGaussianity:
         assert nongaussianity_k(F(1), [star + 0.1]).values[0].real < 0
 
     def test_x_space_positive_near_origin(self):
-        grid = nongaussianity_x(F(1), [0.0], CFG)
+        grid = nongaussianity_x(F(1), [0.0])
         want = 1 - PSI0_INDEX1[0.0] / SQRT_2PI
         assert grid.values[0].real == pytest.approx(want, rel=1e-9)
 
     def test_deep_tail_reported_nan(self):
-        grid = nongaussianity_x(F(2), [0.0, 30.0], CFG)
+        grid = nongaussianity_x(F(2), [0.0, 30.0])
         assert math.isnan(grid.values[1].real)
         assert grid.values[0] == 0
 
@@ -175,7 +171,7 @@ class TestMomentOracle:
     @pytest.mark.parametrize("alpha", [F(1, 2), F(2, 3), F(13, 17), F(1), F(3, 2), F(2)])
     def test_matches_moment_series(self, alpha, n):
         xs = [0.75 * i for i in range(5)]
-        grid = _psi(excited_state(n, alpha), xs)
+        grid = inverse_fourier(excited_state(n, alpha), xs)
         for x, v, (ref, scale) in zip(xs, grid.values, _moment_series(alpha, n, xs)):
             assert abs(v.real - ref) <= 1e-12 * scale, (x, v.real, ref)
 
@@ -187,7 +183,7 @@ class TestMomentOracle:
     def test_low_index_matches_moment_series(self, alpha, n):
         # below index 0.35 the cutoff grows past 25 to keep the tail under 1e-16
         xs = [0.25 * i for i in range(5)]
-        grid = _psi(excited_state(n, alpha), xs)
+        grid = inverse_fourier(excited_state(n, alpha), xs)
         for x, v, (ref, scale) in zip(xs, grid.values, _moment_series(alpha, n, xs)):
             assert abs(v.real - ref) <= 1e-12 * scale, (x, v.real, ref)
 
@@ -198,12 +194,12 @@ class TestMomentOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                grid = _psi(excited_state(3, F(1, 5)), xs)
+                grid = inverse_fourier(excited_state(3, F(1, 5)), xs)
             except QuadratureError as exc:
                 assert "next to k=0" in str(exc)
                 grid = None
             # the even neighbour's k**-0.9 stays finite and is kept
-            even = _psi(excited_state(2, F(1, 5)), xs)
+            even = inverse_fourier(excited_state(2, F(1, 5)), xs)
         checks = [(2, even)] + ([(3, grid)] if grid is not None else [])
         for n, g in checks:
             for x, v, (ref, scale) in zip(xs, g.values, _moment_series(F(1, 5), n, xs)):
@@ -218,7 +214,7 @@ class TestRowBlocks:
         # tolerance 1e-15 of the integrand's mass: the blocks change only
         # which rows share a BLAS call, not the terms of any sum
         state = excited_state(n, F(1, 2))
-        nodes, weights = transform._nodes_and_weights(25, CFG.panel_count)
+        nodes, weights = transform._nodes_and_weights(25, transform.PANEL_COUNT)
         part = transform._integrand(state, nodes, weights, 39.0)
         start = transform._first_node([state], [part], nodes)
         nodes, column = nodes[start:], part.value[start:]
@@ -233,8 +229,8 @@ class TestRowBlocks:
     def test_memory_is_one_block(self):
         xs = list(np.linspace(-39.0, 39.0, 2001))
         for run in (
-            lambda: _psi(excited_state(3, F(3, 2)), xs),
-            lambda: nongaussianity_x(F(1, 2), xs, CFG),
+            lambda: inverse_fourier(excited_state(3, F(3, 2)), xs),
+            lambda: nongaussianity_x(F(1, 2), xs),
         ):
             tracemalloc.start()
             try:
@@ -248,12 +244,12 @@ class TestRowBlocks:
 class TestSharedPass:
     def test_equals_separate_transforms(self):
         xs = [i * 0.25 - 6.0 for i in range(49)]
-        mass_2 = _psi(ground_state(F(2)), [0.0]).values[0].real
+        mass_2 = inverse_fourier(ground_state(F(2)), [0.0]).values[0].real
         for alpha in (F(1, 2), F(1), F(7, 4)):
-            mass_a = _psi(ground_state(alpha), [0.0]).values[0].real
-            psi_a = _psi(ground_state(alpha), xs).values
-            psi_2 = _psi(ground_state(F(2)), xs).values
-            shared = nongaussianity_x(alpha, xs, CFG).values
+            mass_a = inverse_fourier(ground_state(alpha), [0.0]).values[0].real
+            psi_a = inverse_fourier(ground_state(alpha), xs).values
+            psi_2 = inverse_fourier(ground_state(F(2)), xs).values
+            shared = nongaussianity_x(alpha, xs).values
             for a, g, v in zip(psi_a, psi_2, shared):
                 ratio = a.real / g.real
                 tol = 1e-15 * (mass_a + abs(ratio) * mass_2) / abs(g.real)
@@ -261,13 +257,13 @@ class TestSharedPass:
 
     def test_index2_zero_across_blocks(self):
         xs = [i * 0.05 - 8.0 for i in range(321)]
-        grid = nongaussianity_x(F(2), xs, CFG)
+        grid = nongaussianity_x(F(2), xs)
         assert all(v == 0 for v in grid.values if not math.isnan(v.real))
         assert sum(v == 0 for v in grid.values) > 200
 
 
 def test_determinism():
     xs = [0.0, 1.0, 2.0]
-    a = _psi(ground_state(F(3, 2)), xs)
-    b = _psi(ground_state(F(3, 2)), xs)
+    a = inverse_fourier(ground_state(F(3, 2)), xs)
+    b = inverse_fourier(ground_state(F(3, 2)), xs)
     assert a.values == b.values
