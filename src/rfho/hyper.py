@@ -12,28 +12,39 @@ symbol; whether every printed coefficient is correct is checked elsewhere
 moment-series oracle and itemizes mismatches rather than correcting
 them).
 
-Series evaluation runs in mpmath arbitrary precision: the index-3/2
+Series are summed to dps (default 40) working digits: the index-3/2
 table mixes large Gamma values with tiny rational prefactors, and the
 series themselves alternate, so double precision would shed digits to
-cancellation.  Public entry points return floats.
+cancellation.  Public entry points return floats, except ``pfq_mp``.
 
-``pfq_mp`` sums in fixed point (Brent & Zimmermann, *Modern Computer
-Arithmetic*, 2010, sec. 4.4): terms and partial sum are Python ints
-scaled by 2**wp, wp = mp.prec + 32 guard bits, and z is rounded to that
-grid once.  Each step is term = (term * Z >> wp) * top(n) // bottom(n),
-with top and bottom Python ints (the parameters scaled by the lcm of
-their denominators), so a step costs two integer products, a shift and
-one integer division instead of four normalised mpf operations.  The sum
-becomes an mpf once, at the end.  Per spec, top(n), bottom(n) and the
-z-free factor of the tail bound are kept in tables that are built on
-first use and doubled on demand.  Summation stops on a ratio tail bound
-in the spirit of Johansson, "Computing hypergeometric functions
-rigorously" (arXiv:1606.06977): a float bound r_n on all later term
-ratios, and the geometric tail |term_n| r_n/(1 - r_n) below mp.eps of
-the partial sum.  A cancellation guard re-sums once at higher precision
-when the largest term exceeds the sum by more than all but 20 of the
-working digits (index 1 beyond x of about 5.25).  Coefficients a_{2m}
-are cached per (index, power, precision); no series value is.
+Every series is summed in fixed point (Brent & Zimmermann, *Modern
+Computer Arithmetic*, 2010, sec. 4.4) by one loop, ``_sum_series``:
+terms and partial sum are Python ints scaled by 2**wp, wp = prec + 32
+guard bits, prec the binary precision of dps digits (the truncation of
+up to 10,000 steps, under 2**14 units of the last place, stays in the
+guard bits).  The argument is exact: z = scale * x**power is formed from
+x's integer ratio (a float's, or an mpf's mantissa and exponent),
+checked exactly against 1 for p = q + 1, and rounded once to the 2**-wp
+grid.  Each step is term = (term * Z >> wp) * top(n) // bottom(n), with
+top and bottom Python ints (the parameters scaled by the lcm of their
+denominators).  Per spec, top(n), bottom(n) and the z-free factor of the
+tail bound are kept in tables that are built on first use and doubled on
+demand.  Summation stops on a ratio tail bound in the spirit of
+Johansson, "Computing hypergeometric functions rigorously"
+(arXiv:1606.06977): a float bound r_n on all later term ratios, and the
+geometric tail |term_n| r_n/(1 - r_n) below 2**(1 - prec) of the partial
+sum, tested every 8 terms.  A z whose bound stays at least 1 up to the
+10,000-term cap is refused before any term is summed, and a non-finite x
+is refused outright.  A cancellation guard re-sums once at higher
+precision, still in integers, when the largest term exceeds the sum by
+more than all but 20 of the working digits (index 1 beyond x of about
+5.25).
+
+``closed_form_values`` evaluates a table over a whole x grid: each a_{2m}
+becomes an exact binary fraction once per call, each a x**(2m) f is
+added exactly in integers, and each point is rounded to float once.
+Coefficients a_{2m} are cached per (index, power, precision); no series
+value is.
 
 mpmath is imported on first use, inside the functions that need it, so
 the exact subcommands start without it.
@@ -45,7 +56,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .kterms import _as_fraction
 
@@ -66,6 +77,7 @@ _SPARE_DIGITS = 20    # fewer digits than this left after cancellation: re-sum
 _GUARD_DIGITS = 10    # extra digits of the re-sum beyond those lost
 _GUARD_BITS = 32      # fixed-point bits beyond the working precision
 _FIRST_TABLE = 32     # table length built on first use; doubled on demand
+_STRIDE = 8           # terms summed between two stopping tests
 
 
 @dataclass(frozen=True)
@@ -172,76 +184,130 @@ class _Steps:
         return tops, bottoms, factors
 
 
-def _sum_series(steps: _Steps, z: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
-    """(sum, largest |term|) at the current working precision.
+def _prec(dps: int) -> int:
+    """Binary precision for ``dps`` decimal digits (mpmath's dps_to_prec)."""
+    return max(1, round((dps + 1) * 3.3219280948873626))
 
-    Terms and the partial sum are Python ints scaled by 2**wp, wp =
-    mp.mp.prec + _GUARD_BITS; z is rounded to that grid once.  The stopping
-    test |term| r/(1 - r) <= eps |sum| is made exactly in integers.
+
+def _ratio(x) -> tuple[int, int]:
+    """x exactly, as (numerator, positive denominator); ValueError unless finite."""
+    raw = getattr(x, "_mpf_", None)
+    if raw is not None:
+        # an mpmath real, read from its mantissa and exponent; inf and nan
+        # are the raw values with a zero mantissa and a nonzero exponent
+        sign, man, exp, _ = raw
+        if man or not exp:
+            man = -man if sign else man
+            return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    else:
+        try:
+            return Fraction(x).as_integer_ratio()
+        except (OverflowError, ValueError):
+            pass
+    raise ValueError(f"series argument x must be finite, got {x}")
+
+
+def _float(num: int, den: int) -> float:
+    """num / den rounded once to float (int / int is correctly rounded); +-inf beyond range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _cap_reached(zabs: float) -> ConvergenceError:
+    return ConvergenceError(f"no convergence within {_TERM_CAP} terms (|z| = {zabs:.3g})")
+
+
+def _sum_series(steps: _Steps, zfix: int, zabs: float, prec: int) -> tuple[int, int]:
+    """(sum, largest |term|), both Python ints scaled by 2**wp.
+
+    wp = prec + _GUARD_BITS; ``zfix`` is z on that grid and ``zabs`` is
+    |z| as a float.  While the ratio bound r_n is at least 1 the terms may
+    still grow, and the largest is tracked.  Once r_n < 1 it bounds every
+    later ratio, so no later term is larger; from there the stopping test
+    |term| r/(1 - r) <= 2**(1 - prec) |sum| is made exactly in integers
+    every _STRIDE terms.
     """
-    import mpmath as mp
-
-    prec = mp.mp.prec
     wp = prec + _GUARD_BITS
-    zfix = mp.libmp.to_fixed(z._mpf_, wp)
-    zabs = float(abs(z))
     term = total = largest = 1 << wp
     tops, bottoms, factors = steps.tables(_FIRST_TABLE)
     for n in range(_TERM_CAP):
         if n == len(factors):
             tops, bottoms, factors = steps.tables(min(2 * n, _TERM_CAP))
-        mag = abs(term)
-        if mag > largest:
-            largest = mag
         # an infinite factor gives nan at z = 0, which fails r < 1 as inf does
-        r = zabs * factors[n]
-        if r < 1:
-            num, den = (r / (1 - r)).as_integer_ratio()
-            if mag * num << (prec - 1) <= abs(total) * den:
-                return mp.mpf((total, -wp)), mp.mpf((largest, -wp))
+        if zabs * factors[n] < 1:
+            break
         term = (term * zfix >> wp) * tops[n] // bottoms[n]
         total += term
-    raise ConvergenceError(
-        f"no convergence within {_TERM_CAP} terms (|z| = {zabs:.3g})"
-    )
+        largest = max(largest, abs(term))
+    while n + _STRIDE < _TERM_CAP:
+        r = zabs * factors[n]
+        num, den = (r / (1 - r)).as_integer_ratio()
+        if abs(term) * num << (prec - 1) <= abs(total) * den:
+            return total, largest
+        if n + _STRIDE >= len(factors):
+            tops, bottoms, factors = steps.tables(min(2 * (n + _STRIDE + 1), _TERM_CAP))
+        for m in range(n, n + _STRIDE):
+            term = (term * zfix >> wp) * tops[m] // bottoms[m]
+            total += term
+        n += _STRIDE
+    raise _cap_reached(zabs)
+
+
+def _pfq_fixed(spec: PFQSpec, x: tuple[int, int], dps: int) -> int:
+    """pFq at x = numerator/denominator, as an int scaled by 2**(_prec(dps) + _GUARD_BITS).
+
+    z = scale * x**power is formed exactly and rounded once to the grid of
+    each summation.  Refused before any term is summed: |z| >= 1 for
+    p = q + 1, and any z whose tail bound is still at least 1 at the term
+    cap, where the stopping rule cannot fire.  Cancellation guard: if the
+    largest |term| exceeds the sum by so much that fewer than 20 digits
+    survive, the series is summed once more at dps + (digits lost) + 10
+    and rounded back to the dps grid.
+    """
+    steps = spec._steps
+    num, den = x
+    zn = spec.argument_scale.numerator * num**spec.argument_power
+    zd = spec.argument_scale.denominator * den**spec.argument_power
+    if len(spec.numerator_params) == len(spec.denominator_params) + 1 and abs(zn) >= zd:
+        raise ValueError("argument outside the convergence disk for p = q + 1")
+    try:
+        zabs = abs(zn) / zd
+    except OverflowError:
+        zabs = math.inf
+    if zabs * steps.factor(_TERM_CAP - 1) >= 1:
+        raise _cap_reached(zabs)
+
+    def fixed_z(prec: int) -> int:
+        # z rounded to nearest on the 2**-wp grid
+        return ((zn << (prec + _GUARD_BITS + 1)) // zd + 1) >> 1
+
+    prec = _prec(dps)
+    total, largest = _sum_series(steps, fixed_z(prec), zabs, prec)
+    if largest * 10**_SPARE_DIGITS <= abs(total) * 10**dps:
+        return total
+    # largest / |total| < 2**(bits + 1): round the digits lost up
+    bits = largest.bit_length() - abs(total).bit_length()
+    lost = -(-(bits + 1) * 30103 // 100000) if total else dps
+    extra = _prec(dps + lost + _GUARD_DIGITS) - prec
+    total, _ = _sum_series(steps, fixed_z(prec + extra), zabs, prec + extra)
+    return (total + (1 << (extra - 1))) >> extra
 
 
 def pfq_mp(spec: PFQSpec, x, dps: int = 40) -> mp.mpf:
-    """Series evaluation by term recurrence at the given working precision.
+    """One series at x, summed in fixed point (see the module docstring); an mpf rounded to dps digits.
 
-    term_{n+1} = term_n * prod(a+n)/prod(b+n) * z/(n+1), with the ratio
-    formed from Python ints (parameters scaled by the lcm of their
-    denominators).  Terms and the partial sum are fixed-point ints with
-    wp = mp.prec + 32 bits below the binary point: the truncation of up
-    to 10,000 steps, under 2**14 units of the last place, stays in the
-    guard bits.  top(n), bottom(n) and the z-free factor of a float bound
-    r_n on every later term ratio come from per-spec tables, built on
-    first use and doubled on demand; summation stops once r_n < 1
-    and the geometric tail |term_n| r_n/(1 - r_n) is at most mp.eps times
-    the partial sum, and raises ConvergenceError at the 10,000-term cap.
-    Cancellation guard: if the largest |term| exceeds the sum by so much
-    that fewer than 20 digits survive, the series is summed once more at
-    dps + (digits lost) + 10 and rounded back to dps.
+    ValueError for a non-finite x, or |z| >= 1 when p = q + 1;
+    ConvergenceError where the stopping rule cannot fire within 10,000
+    terms, before any term is summed when the ratio bound is still at
+    least 1 at the cap.
     """
     import mpmath as mp
 
-    steps = spec._steps
-    with mp.workdps(dps):
-        z = spec.argument(x)
-        if len(spec.numerator_params) == len(spec.denominator_params) + 1 and abs(z) >= 1:
-            raise ValueError("argument outside the convergence disk for p = q + 1")
-        total, largest = _sum_series(steps, z)
-        if largest <= abs(total) * mp.mpf(10) ** (dps - _SPARE_DIGITS):
-            return total
-        lost = dps if not total else int(mp.ceil(mp.log10(largest / abs(total))))
-    with mp.workdps(dps + lost + _GUARD_DIGITS):
-        total, _ = _sum_series(steps, spec.argument(x))
-    with mp.workdps(dps):
-        return +total
-
-
-def pfq(spec: PFQSpec, x) -> float:
-    return float(pfq_mp(spec, x))
+    prec = _prec(dps)
+    total = _pfq_fixed(spec, _ratio(x), dps)
+    return mp.make_mpf(mp.libmp.from_man_exp(total, -(prec + _GUARD_BITS), prec, mp.libmp.round_nearest))
 
 
 def _spec(nums: Sequence[Fraction], dens: Sequence[Fraction], scale: Fraction, power: int) -> PFQSpec:
@@ -427,30 +493,43 @@ def closed_form_psi0(alpha) -> ClosedFormPsi0:
     raise UnsupportedAlpha(f"no closed-form table for alpha = {alpha}")
 
 
-def closed_form_term_values(c: ClosedFormPsi0, x, dps: int = 40) -> list[float]:
-    """Each a * x**power * f value separately (for per-term auditing)."""
-    import mpmath as mp
+def _term_numerators(c: ClosedFormPsi0, xs: Iterable, dps: int) -> Iterator[tuple[list[int], int]]:
+    """Per x, each a * x**power * f exactly as an int over one shared int denominator.
 
-    out = []
-    with mp.workdps(dps):
-        xm = mp.mpf(x)
-        for t in c.terms:
-            a = _a_value(c.alpha, t.power, dps + 10)
-            out.append(float(a * xm**t.power * pfq_mp(t.f, x, dps)))
-    return out
+    Each a (at dps + 10 digits) is an exact binary fraction, read once per
+    call; f is the fixed-point series value and x**power is exact, so the
+    only roundings are those of a and f.
+    """
+    ratios = [_ratio(a) for a in c.a_values(dps + 10)]
+    a_den = max(den for _, den in ratios)  # each den is a power of 2
+    a_num = [num * (a_den // den) for num, den in ratios]
+    top = max(t.power for t in c.terms)
+    one = a_den << (_prec(dps) + _GUARD_BITS)
+    for x in xs:
+        num, den = r = _ratio(x)
+        yield (
+            [
+                a * _pfq_fixed(t.f, r, dps) * num**t.power * den ** (top - t.power)
+                for a, t in zip(a_num, c.terms)
+            ],
+            one * den**top,
+        )
+
+
+def closed_form_values(c: ClosedFormPsi0, xs: Iterable, dps: int = 40) -> list[float]:
+    """sum_m a_{2m} x**(2m) f_{2m}(x) at each x, summed exactly and rounded once to float."""
+    return [_float(sum(nums), den) for nums, den in _term_numerators(c, xs, dps)]
 
 
 def eval_closed_form(c: ClosedFormPsi0, x, dps: int = 40) -> float:
-    """sum_m a_{2m} x**(2m) f_{2m}(x), summed at working precision."""
-    import mpmath as mp
+    """sum_m a_{2m} x**(2m) f_{2m}(x) at one x (see closed_form_values)."""
+    return closed_form_values(c, [x], dps)[0]
 
-    with mp.workdps(dps):
-        xm = mp.mpf(x)
-        total = mp.mpf(0)
-        for t in c.terms:
-            a = _a_value(c.alpha, t.power, dps + 10)
-            total += a * xm**t.power * pfq_mp(t.f, x, dps)
-        return float(total)
+
+def closed_form_term_values(c: ClosedFormPsi0, x, dps: int = 40) -> list[float]:
+    """Each a * x**power * f value separately (for per-term auditing)."""
+    nums, den = next(_term_numerators(c, [x], dps))
+    return [_float(v, den) for v in nums]
 
 
 # confluent pieces of the Gaussian identity, argument -x^2/2
@@ -458,10 +537,26 @@ _GAUSS_A = _spec([Fraction(1, 2)], [Fraction(3, 2)], Fraction(-1, 2), 2)
 _GAUSS_B = _spec([Fraction(3, 2)], [Fraction(5, 2)], Fraction(-1, 2), 2)
 
 
+def gaussian_values(xs: Iterable) -> list[float]:
+    """exp(-x**2/2) at each x, rebuilt from two confluent series in floats.
+
+    1F1(1/2,3/2;-x^2/2) - (x^2/3) 1F1(3/2,5/2;-x^2/2): each series is
+    summed to 40 digits and rounded to float once; the combination is made
+    in float arithmetic.
+    """
+    one = 1 << (_prec(40) + _GUARD_BITS)
+    out = []
+    for x in xs:
+        xf = float(x)
+        r = _ratio(xf)
+        a, b = (_float(_pfq_fixed(spec, r, 40), one) for spec in (_GAUSS_A, _GAUSS_B))
+        out.append(a - xf**2 / 3 * b)
+    return out
+
+
 def gaussian_via_pfq(x) -> float:
-    """exp(-x**2/2) rebuilt from two confluent series: 1F1(1/2,3/2;-x^2/2) - (x^2/3) 1F1(3/2,5/2;-x^2/2)."""
-    xf = float(x)
-    return pfq(_GAUSS_A, xf) - xf**2 / 3 * pfq(_GAUSS_B, xf)
+    """exp(-x**2/2) at one x, rebuilt from two confluent series (see gaussian_values)."""
+    return gaussian_values([x])[0]
 
 
 __all__ = [
@@ -472,8 +567,9 @@ __all__ = [
     "UnsupportedAlpha",
     "closed_form_psi0",
     "closed_form_term_values",
+    "closed_form_values",
     "eval_closed_form",
+    "gaussian_values",
     "gaussian_via_pfq",
-    "pfq",
     "pfq_mp",
 ]

@@ -5,6 +5,7 @@ a red criterion fails the suite. The two documented-discrepancy entries
 are informational by design and are checked to stay that way.
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 from rfho import validation as v
@@ -56,12 +57,39 @@ def test_criterion_gaussian_hypergeometric_identity():
     _report(v.crit_gaussian_identity())
 
 
+def test_criterion_gaussian_identity_fails_a_wrong_sign(monkeypatch):
+    # 1F1(3/2; 5/2; +x^2/2) in place of -x^2/2
+    from rfho import hyper
+
+    spec = hyper._GAUSS_B
+    monkeypatch.setattr(hyper, "_GAUSS_B", replace(spec, argument_scale=-spec.argument_scale))
+    result = v.crit_gaussian_identity()
+    assert not result.passed, result.detail
+
+
 def test_criterion_transform_calibration():
     _report(v.crit_calibration())
 
 
 def test_criterion_closed_form_index1_crosscheck():
     _report(v.crit_closed_form_alpha1())
+
+
+def test_criterion_closed_form_index1_fails_a_shifted_coefficient(monkeypatch):
+    # a_2 = -3/2 off by 1e-5 of its value
+    import mpmath as mp
+
+    from rfho import hyper
+
+    original = hyper._a_value
+
+    def shifted(alpha, power, dps):
+        a = original(alpha, power, dps)
+        return a * (1 + mp.mpf(10) ** -5) if (alpha, power) == (1, 2) else a
+
+    monkeypatch.setattr(hyper, "_a_value", shifted)
+    result = v.crit_closed_form_alpha1()
+    assert not result.passed, result.detail
 
 
 def test_criterion_closed_form_index32_crosscheck():

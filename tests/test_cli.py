@@ -254,6 +254,13 @@ import rfho.cli
 # its spans, so importing rfho.cli must still load them
 assert {"rfho.transform", "rfho.hyper", "rfho.validation"} <= set(sys.modules)
 
+# the series tables stay unbuilt until a series is summed, and mpmath unloaded
+from rfho import hyper
+specs = [t.f for table in (hyper._TABLE_1, hyper._TABLE_32) for t in table]
+specs += [hyper._GAUSS_A, hyper._GAUSS_B]
+assert not [s for s in specs if "_steps" in vars(s)]
+assert "mpmath" not in sys.modules
+
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert rfho.cli.main(argv) == 0, argv

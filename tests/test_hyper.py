@@ -1,6 +1,7 @@
 """Generalized hypergeometric evaluation and the closed-form tables."""
 
 import math
+import time
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -16,9 +17,10 @@ from rfho.hyper import (
     UnsupportedAlpha,
     closed_form_psi0,
     closed_form_term_values,
+    closed_form_values,
     eval_closed_form,
+    gaussian_values,
     gaussian_via_pfq,
-    pfq,
     pfq_mp,
 )
 
@@ -45,15 +47,15 @@ def test_spec_validation():
 
 def test_gauss_class_needs_unit_disk():
     spec = PFQSpec((F(1, 2), F(1, 2)), (F(3, 2),), F(1), 1)
-    assert pfq(spec, 0.5) > 0
+    assert float(pfq_mp(spec, 0.5)) > 0
     with pytest.raises(ValueError):
-        pfq(spec, 2.0)
+        float(pfq_mp(spec, 2.0))
 
 
 def test_confluent_erf_value():
     # 1F1(1/2; 3/2; -1) = (sqrt(pi)/2) erf(1)
     spec = PFQSpec((F(1, 2),), (F(3, 2),), F(-1), 2)
-    assert pfq(spec, 1.0) == pytest.approx(0.7468241328124271, abs=1e-15)
+    assert float(pfq_mp(spec, 1.0)) == pytest.approx(0.7468241328124271, abs=1e-15)
 
 
 def test_gaussian_identity_spot():
@@ -67,7 +69,7 @@ def test_pfq_matches_mpmath_hyper(x):
     table = closed_form_psi0(F(1))
     spec = table.terms[0].f
     z = float(spec.argument(x))
-    ours = pfq(spec, x)
+    ours = float(pfq_mp(spec, x))
     ref = float(mp.hyper([mp.mpf(p.numerator) / p.denominator for p in spec.numerator_params],
                          [mp.mpf(q.numerator) / q.denominator for q in spec.denominator_params],
                          z))
@@ -216,3 +218,75 @@ def test_cancellation_guard_at_large_x(x, want):
     table = closed_form_psi0(F(1))
     assert eval_closed_form(table, x, dps=120) == pytest.approx(want, rel=1e-15)
     assert eval_closed_form(table, x) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [F(1), F(3, 2)])
+def test_grid_matches_per_point_bit_for_bit(alpha):
+    table = closed_form_psi0(alpha)
+    xs = [3.0 * i / 60 for i in range(61)]
+    assert closed_form_values(table, xs) == [eval_closed_form(table, x) for x in xs]
+
+
+def _closed_form_reference(table, x, dps=60):
+    with mp.workdps(dps):
+        return sum(
+            a * mp.mpf(x) ** t.power * _mp_reference(t.f, x, dps)
+            for a, t in zip(table.a_values(dps), table.terms)
+        )
+
+
+@pytest.mark.parametrize("dps", [40, 120])
+def test_grid_resums_past_the_guard(dps):
+    # x = 6 and 7 lose 30 and 49 digits to cancellation, so at 40 digits
+    # the guard re-sums inside the grid; mp.hyper raises its own precision
+    table = closed_form_psi0(F(1))
+    got = closed_form_values(table, [0.5, 6.0, 7.0], dps)
+    for x, value in zip([6.0, 7.0], got[1:]):
+        assert value == float(_closed_form_reference(table, x)), (x, dps)
+
+
+def test_argument_is_exact_for_every_number_type():
+    # a float, the same value as an mpf (mantissa and exponent) and as a
+    # Fraction give the same fixed-point argument, hence the same sum
+    for spec in ALL_SPECS:
+        x = 1.375
+        assert pfq_mp(spec, x) == pfq_mp(spec, mp.mpf(x)) == pfq_mp(spec, F(11, 8))
+
+
+def test_huge_x_is_refused_before_summing():
+    # the tail bound is still above 1 at the term cap, so the call is
+    # refused before a term is summed, however many bits z has
+    calls = [
+        lambda: pfq_mp(_GAUSS_A, 1e300),
+        lambda: gaussian_via_pfq(1e300),
+        lambda: eval_closed_form(closed_form_psi0(F(1)), 1e300),
+        lambda: closed_form_values(closed_form_psi0(F(3, 2)), [0.0, -1e300]),
+    ]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            call()
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, mp.nan, mp.inf])
+def test_non_finite_x_is_refused(x):
+    calls = [
+        lambda: pfq_mp(_GAUSS_A, x),
+        lambda: gaussian_values([0.0, x]),
+        lambda: closed_form_values(closed_form_psi0(F(1)), [0.0, x]),
+        lambda: closed_form_term_values(closed_form_psi0(F(3, 2)), x),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite") as caught:
+            call()
+        assert "\n" not in str(caught.value)
+
+
+def test_values_beyond_float_range_are_infinite():
+    # the index-3/2 table's slipped high terms blow up at large x; a value
+    # beyond the float range rounds to a signed infinity
+    table = closed_form_psi0(F(3, 2))
+    assert eval_closed_form(table, 40.0) == -math.inf
+    inf = math.inf
+    assert closed_form_term_values(table, 40.0) == [-inf, inf, -inf, inf, -inf, inf, inf]
