@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,18 +46,8 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational like 3/2, got {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    lo: float
-    hi: float
-    count: int
-
-    def points(self) -> list[float]:
-        step = (self.hi - self.lo) / (self.count - 1)
-        return [self.lo + step * i for i in range(self.count)]
-
-
-def _grid(text: str) -> GridSpec:
+def _grid(text: str) -> list[float]:
+    """The points of ``min:max:count``: lo + step*i, step = (hi - lo)/(count - 1)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected min:max:count, got {text!r}")
@@ -72,7 +61,8 @@ def _grid(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError(f"grid count must lie in 2..{MAX_POINTS}")
     if not lo < hi:
         raise argparse.ArgumentTypeError("grid min must be below max")
-    return GridSpec(lo, hi, count)
+    step = (hi - lo) / (count - 1)
+    return [lo + step * i for i in range(count)]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -147,26 +137,25 @@ def cmd_hermite(args: argparse.Namespace) -> int:
 def cmd_state(args: argparse.Namespace) -> int:
     state = excited_state(args.n, args.alpha)
     if args.space == "x":
-        grid = inverse_fourier(state, args.grid.points())
+        grid = inverse_fourier(state, args.grid)
     else:
-        pts, vals = sample_regular(state.eval, args.grid.points())
+        pts, vals = sample_regular(state.eval, args.grid)
         grid = Grid("k", tuple(pts), tuple(vals))
     _emit_grid(grid, args)
     return 0
 
 
 def cmd_eigenvalue(args: argparse.Namespace) -> int:
-    pts, vals = sample_local_eigenvalue(args.n, args.alpha, args.theta, args.grid.points())
+    pts, vals = sample_local_eigenvalue(args.n, args.alpha, args.theta, args.grid)
     _emit_grid(Grid("k", tuple(pts), tuple(vals)), args)
     return 0
 
 
 def cmd_nongauss(args: argparse.Namespace) -> int:
-    pts = args.grid.points()
     if args.space == "x":
-        grid = nongaussianity_x(args.alpha, pts)
+        grid = nongaussianity_x(args.alpha, args.grid)
     else:
-        grid = nongaussianity_k(args.alpha, pts)
+        grid = nongaussianity_k(args.alpha, args.grid)
     _emit_grid(grid, args)
     return 0
 
@@ -242,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp: argparse.ArgumentParser, *, grid: bool = True) -> None:
         if grid:
-            sp.add_argument("--grid", type=_grid, default=GridSpec(-5.0, 5.0, 501),
+            sp.add_argument("--grid", type=_grid, default="-5:5:501",
                             metavar="MIN:MAX:COUNT")
         sp.add_argument("--out", default=None, help="write output to this path")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")

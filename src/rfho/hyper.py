@@ -43,8 +43,8 @@ more than all but 20 of the working digits (index 1 beyond x of about
 ``closed_form_values`` evaluates a table over a whole x grid: each a_{2m}
 becomes an exact binary fraction once per call, each a x**(2m) f is
 added exactly in integers, and each point is rounded to float once.
-Coefficients a_{2m} are cached per (index, power, precision); no series
-value is.
+Each table row holds its a_{2m} as an mpmath expression; the values are
+cached per (table, precision), and no series value is.
 
 mpmath is imported on first use, inside the functions that need it, so
 the exact subcommands start without it.
@@ -56,7 +56,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .kterms import _as_fraction
 
@@ -153,7 +153,7 @@ class _Steps:
         return out
 
     def factor(self, n: int) -> float:
-        """r_n / |z|; inf while some b + n <= 0."""
+        """r_n / |z|, with r_n >= sup_{m >= n} |term_{m+1}/term_m|; inf while some b + n <= 0."""
         r = 1.0
         for a, b in self.pairs:
             if b + n <= 0:
@@ -165,12 +165,6 @@ class _Steps:
                 return math.inf
             r /= b + n
         return r
-
-    def bound(self, n: int, zabs: float) -> float:
-        """r_n >= sup_{m >= n} |term_{m+1}/term_m|, inf while some b + n <= 0."""
-        f = self.factor(n)
-        # inf * 0 is nan, so an infinite factor stays inf at z = 0
-        return f if f == math.inf else zabs * f
 
     def tables(self, size: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
         """(top, bottom, factor) tables covering at least n < size."""
@@ -314,13 +308,17 @@ def _spec(nums: Sequence[Fraction], dens: Sequence[Fraction], scale: Fraction, p
     return PFQSpec(tuple(nums), tuple(dens), scale, power)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedFormTerm:
-    """One summand a * x**power * f(...); ``a_recipe`` documents the exact symbolic form."""
+    """One summand a * x**power * f(...); ``a(mp)`` is the exact symbolic form of a in mpmath.
+
+    ``a`` is evaluated at the working precision set by the caller.  Terms
+    compare by identity, so a table's coefficient cache is keyed cheaply.
+    """
 
     power: int
     f: PFQSpec
-    a_recipe: str
+    a: Callable[[Any], mp.mpf]
 
 
 @dataclass(frozen=True)
@@ -331,7 +329,16 @@ class ClosedFormPsi0:
     terms: tuple[ClosedFormTerm, ...]
 
     def a_values(self, dps: int = 50) -> list[mp.mpf]:
-        return [_a_value(self.alpha, t.power, dps) for t in self.terms]
+        return list(_a_values(self.terms, dps))
+
+
+@lru_cache(maxsize=None)
+def _a_values(terms: tuple[ClosedFormTerm, ...], dps: int) -> tuple[mp.mpf, ...]:
+    """Each term's a at dps digits, cached per (table, dps)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        return tuple(t.a(mp) for t in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +354,7 @@ _TABLE_1 = (
             [Fraction(2, 6), Fraction(3, 6), Fraction(5, 6)],
             _SCALE_1, 6,
         ),
-        "2^(1/3) * 3^(2/3) * Gamma(5/3)",
+        lambda mp: mp.power(2, mp.mpf(1) / 3) * mp.power(3, mp.mpf(2) / 3) * mp.gamma(mp.mpf(5) / 3),
     ),
     ClosedFormTerm(
         2,
@@ -356,7 +363,7 @@ _TABLE_1 = (
             [Fraction(4, 6), Fraction(5, 6), Fraction(7, 6), Fraction(8, 6)],
             _SCALE_1, 6,
         ),
-        "-3/2",
+        lambda mp: mp.mpf(-3) / 2,
     ),
     ClosedFormTerm(
         4,
@@ -365,7 +372,7 @@ _TABLE_1 = (
             [Fraction(7, 6), Fraction(9, 6), Fraction(10, 6)],
             _SCALE_1, 6,
         ),
-        "(7/16) * (3/2)^(1/3) * Gamma(7/3)",
+        lambda mp: mp.mpf(7) / 16 * mp.power(mp.mpf(3) / 2, mp.mpf(1) / 3) * mp.gamma(mp.mpf(7) / 3),
     ),
 )
 
@@ -387,100 +394,67 @@ _TABLE_32 = (
     ClosedFormTerm(
         0,
         _f56([11, 18, 25, 39, 46, 53], [2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13]),
-        "7^3 * 7^(4/7) / (11 * 2 * 2^(1/7) * 3^2 * 5^2) * Gamma(32/7)",
+        lambda mp: (
+            7**3 * mp.power(7, mp.mpf(4) / 7)
+            / (11 * 2 * mp.power(2, mp.mpf(1) / 7) * 3**2 * 5**2)
+            * mp.gamma(mp.mpf(32) / 7)
+        ),
     ),
     ClosedFormTerm(
         2,
         _f56([19, 26, 33, 47, 54, 61], [4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16]),
-        "5 * 2^(4/7) / (2^3 * 7^(11/14)) * Gamma(-2/7)/sin(pi/7)^2 * sin(pi/14)/cos(3pi/14)",
+        lambda mp: (
+            5 * mp.power(2, mp.mpf(4) / 7) / (2**3 * mp.power(7, mp.mpf(11) / 14))
+            * mp.gamma(mp.mpf(-2) / 7) / mp.sin(mp.pi / 7) ** 2
+            * (mp.sin(mp.pi / 14) / mp.cos(3 * mp.pi / 14))
+        ),
     ),
     ClosedFormTerm(
         4,
         _f56([27, 34, 41, 55, 62, 69], [6, 7, 8, 9, 10, 11, 13, 15, 16, 17, 18]),
-        "13 * 2^(2/7) * 7^(5/14) / 2^7 * Gamma(6/7)/sin(pi/7)^2 * sin(pi/14)/cos(3pi/14)",
+        lambda mp: (
+            13 * mp.power(2, mp.mpf(2) / 7) * mp.power(7, mp.mpf(5) / 14) / 2**7
+            * mp.gamma(mp.mpf(6) / 7) / mp.sin(mp.pi / 7) ** 2
+            * (mp.sin(mp.pi / 14) / mp.cos(3 * mp.pi / 14))
+        ),
     ),
     ClosedFormTerm(
         6,
         _f56([35, 42, 49, 56, 63, 70, 77], [8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20]),
-        "-7^3 * 7^(1/7) / (2^8 * 3 * 5) * cot(pi/7) * tan(pi/14) * tan(3pi/14)",
+        lambda mp: (
+            -(7**3) * mp.power(7, mp.mpf(1) / 7) / (2**8 * 3 * 5)
+            * (mp.cos(mp.pi / 7) / mp.sin(mp.pi / 7))
+            * mp.tan(mp.pi / 14) * mp.tan(3 * mp.pi / 14)
+        ),
     ),
     ClosedFormTerm(
         8,
         _f56([43, 50, 57, 71, 78, 85], [10, 11, 12, 13, 15, 17, 18, 19, 20, 21, 22]),
-        "7^7 * 7^(1/7) / (19 * 43 * 3^5 * 5^3 * 2^14 * 2^(2/7)) * Gamma(64/7)",
+        lambda mp: (
+            mp.mpf(7**7) * mp.power(7, mp.mpf(1) / 7)
+            / (19 * 43 * 3**5 * 5**3 * 2**14 * mp.power(2, mp.mpf(2) / 7))
+            * mp.gamma(mp.mpf(64) / 7)
+        ),
     ),
     ClosedFormTerm(
         10,
         _f56([51, 58, 65, 79, 86, 93], [12, 13, 15, 16, 17, 19, 20, 21, 22, 23, 24]),
-        "-7^8 * 7^(2/7) / (11 * 13 * 17 * 29 * 3^5 * 5^3 * 2^17 * 2^(4/7)) * Gamma(72/7)",
+        lambda mp: (
+            -mp.mpf(7**8) * mp.power(7, mp.mpf(2) / 7)
+            / (11 * 13 * 17 * 29 * 3**5 * 5**3 * 2**17 * mp.power(2, mp.mpf(4) / 7))
+            * mp.gamma(mp.mpf(72) / 7)
+        ),
     ),
     ClosedFormTerm(
         12,
         _f56([59, 66, 73, 87, 94, 101], [15, 16, 17, 18, 19, 21, 22, 23, 24, 25, 26]),
-        "7^9 * 7^(3/7) / (11^2 * 13 * 59 * 73 * 3^5 * 5^2 * 2^24 * 2^(6/7)) * Gamma(80/7)",
+        lambda mp: (
+            mp.mpf(7**9) * mp.power(7, mp.mpf(3) / 7)
+            / (11**2 * 13 * 59 * 73 * 3**5 * 5**2 * 2**24 * mp.power(2, mp.mpf(6) / 7))
+            * mp.gamma(mp.mpf(80) / 7)
+        ),
     ),
 )
-
-
-@lru_cache(maxsize=None)
-def _a_value(alpha: Fraction, power: int, dps: int) -> mp.mpf:
-    """The a coefficient for one (alpha, power) slot, from its symbolic recipe (cached)."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        pi = mp.pi
-        if alpha == 1:
-            if power == 0:
-                return mp.power(2, mp.mpf(1) / 3) * mp.power(3, mp.mpf(2) / 3) * mp.gamma(mp.mpf(5) / 3)
-            if power == 2:
-                return mp.mpf(-3) / 2
-            if power == 4:
-                return mp.mpf(7) / 16 * mp.power(mp.mpf(3) / 2, mp.mpf(1) / 3) * mp.gamma(mp.mpf(7) / 3)
-        elif alpha == Fraction(3, 2):
-            odd_ratio = mp.sin(pi / 14) / mp.cos(3 * pi / 14)
-            if power == 0:
-                return (
-                    7**3 * mp.power(7, mp.mpf(4) / 7)
-                    / (11 * 2 * mp.power(2, mp.mpf(1) / 7) * 3**2 * 5**2)
-                    * mp.gamma(mp.mpf(32) / 7)
-                )
-            if power == 2:
-                return (
-                    5 * mp.power(2, mp.mpf(4) / 7) / (2**3 * mp.power(7, mp.mpf(11) / 14))
-                    * mp.gamma(mp.mpf(-2) / 7) / mp.sin(pi / 7) ** 2
-                    * odd_ratio
-                )
-            if power == 4:
-                return (
-                    13 * mp.power(2, mp.mpf(2) / 7) * mp.power(7, mp.mpf(5) / 14) / 2**7
-                    * mp.gamma(mp.mpf(6) / 7) / mp.sin(pi / 7) ** 2
-                    * odd_ratio
-                )
-            if power == 6:
-                return (
-                    -(7**3) * mp.power(7, mp.mpf(1) / 7) / (2**8 * 3 * 5)
-                    * (mp.cos(pi / 7) / mp.sin(pi / 7))
-                    * mp.tan(pi / 14) * mp.tan(3 * pi / 14)
-                )
-            if power == 8:
-                return (
-                    mp.mpf(7**7) * mp.power(7, mp.mpf(1) / 7)
-                    / (19 * 43 * 3**5 * 5**3 * 2**14 * mp.power(2, mp.mpf(2) / 7))
-                    * mp.gamma(mp.mpf(64) / 7)
-                )
-            if power == 10:
-                return (
-                    -mp.mpf(7**8) * mp.power(7, mp.mpf(2) / 7)
-                    / (11 * 13 * 17 * 29 * 3**5 * 5**3 * 2**17 * mp.power(2, mp.mpf(4) / 7))
-                    * mp.gamma(mp.mpf(72) / 7)
-                )
-            if power == 12:
-                return (
-                    mp.mpf(7**9) * mp.power(7, mp.mpf(3) / 7)
-                    / (11**2 * 13 * 59 * 73 * 3**5 * 5**2 * 2**24 * mp.power(2, mp.mpf(6) / 7))
-                    * mp.gamma(mp.mpf(80) / 7)
-                )
-        raise UnsupportedAlpha(f"no coefficient recipe for alpha={alpha}, power={power}")
 
 
 def closed_form_psi0(alpha) -> ClosedFormPsi0:

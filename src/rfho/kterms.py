@@ -322,10 +322,6 @@ class KExpr(_TermSum):
         return KTerm(coeff, key[2], FracExponent(key[0], key[1]))
 
     @staticmethod
-    def from_terms(terms: Iterable[KTerm]) -> KExpr:
-        return KExpr._merge(((t.exponent.j, t.exponent.m, t.sgn_parity), t.coeff) for t in terms)
-
-    @staticmethod
     def one() -> KExpr:
         return KExpr.monomial(1, 0, 0, 0)
 

@@ -109,12 +109,6 @@ def _classical_hermite(n: int) -> list[int]:
     return h
 
 
-def _reduction_coeffs(expr: KExpr) -> list[Fraction]:
-    """Exact coefficients of k**0, k**1, ... in a ``standard_reduction`` result."""
-    coeffs = {t.exponent.m: t.coeff.eval(F(0)) for t in expr.terms}
-    return [coeffs.get(q, F(0)) for q in range(max(coeffs, default=0) + 1)]
-
-
 def crit_classical_reduction(family: Sequence[KExpr] | None = None) -> CriterionResult:
     exprs = list(family) if family is not None else _default_family()
     for n, expr in enumerate(exprs):
@@ -122,7 +116,7 @@ def crit_classical_reduction(family: Sequence[KExpr] | None = None) -> Criterion
             reduced = standard_reduction(RFHermite(n, expr))
         except StructureError as exc:
             return _result("classical-reduction", False, f"no index-2 reduction at n={n}: {exc}")
-        if _reduction_coeffs(reduced) != _classical_hermite(n):
+        if reduced != _classical_hermite(n):
             return _result(
                 "classical-reduction", False,
                 f"index-2 reduction disagrees with the three-term oracle at n={n}",

@@ -77,17 +77,14 @@ def test_criterion_closed_form_index1_crosscheck():
 
 def test_criterion_closed_form_index1_fails_a_shifted_coefficient(monkeypatch):
     # a_2 = -3/2 off by 1e-5 of its value
-    import mpmath as mp
+    import dataclasses
 
     from rfho import hyper
 
-    original = hyper._a_value
-
-    def shifted(alpha, power, dps):
-        a = original(alpha, power, dps)
-        return a * (1 + mp.mpf(10) ** -5) if (alpha, power) == (1, 2) else a
-
-    monkeypatch.setattr(hyper, "_a_value", shifted)
+    low, term, high = hyper._TABLE_1
+    assert term.power == 2
+    shifted = dataclasses.replace(term, a=lambda mp: term.a(mp) * (1 + mp.mpf(10) ** -5))
+    monkeypatch.setattr(hyper, "_TABLE_1", (low, shifted, high))
     result = v.crit_closed_form_alpha1()
     assert not result.passed, result.detail
 

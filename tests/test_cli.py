@@ -325,7 +325,7 @@ class TestInputContract:
         assert exc.value.code == 2
         assert peak <= 2**20
         assert str(MAX_POINTS) in capsys.readouterr().err
-        assert _grid(f"0:1:{MAX_POINTS}").count == MAX_POINTS
+        assert len(_grid(f"0:1:{MAX_POINTS}")) == MAX_POINTS
 
     @pytest.mark.parametrize("cmd,target", [
         (["hermite", "--n", "2"], "missing/dir/x.json"),

@@ -94,6 +94,32 @@ def test_extract_rejects_wrong_index():
         extract_p_coefficients(RFHermite(2, rf_hermite(3).expr))
 
 
+def test_standard_reduction_refuses_a_negative_power():
+    # |k|^(a/2 - 2) sits on H_3's lattice (i = 2) but is k^(-1) at a = 2;
+    # H_3's own i = 2 coefficient vanishes there
+    h = RFHermite(3, rf_hermite(3).expr + KExpr.monomial(1, 1, 1, -2))
+    extract_p_coefficients(h)
+    with pytest.raises(StructureError, match=r"k\^\(-1\)"):
+        standard_reduction(h)
+
+
+def test_standard_reduction_refuses_a_wrong_parity_member():
+    with pytest.raises(StructureError, match="lattice"):
+        standard_reduction(RFHermite(1, KExpr.monomial(2, 0, 1, 0)))
+
+
+def test_leading_term_checks_refuses_a_scaled_member():
+    with pytest.raises(StructureError, match=r"2\*\*n"):
+        leading_term_checks(RFHermite(1, rf_hermite(1).expr.scale(F(5, 4))))
+
+
+def test_leading_term_checks_refuses_a_missing_leading_term():
+    headless = rf_hermite(3).expr - KExpr.monomial(8, 1, 3, 0)
+    assert len(headless.terms) == 2
+    with pytest.raises(StructureError):
+        leading_term_checks(RFHermite(3, headless))
+
+
 def _classical(n: int) -> list[int]:
     h = [1]
     for _ in range(n):
@@ -106,11 +132,9 @@ def _classical(n: int) -> list[int]:
 def test_standard_reduction_matches_classical():
     for n in range(11):
         reduced = standard_reduction(rf_hermite(n))
-        coeffs = {t.exponent.m: t.coeff.eval(F(0)) for t in reduced.terms}
-        want = _classical(n)
-        got = [int(coeffs.get(q, 0)) for q in range(len(want))]
-        assert got == want
-        assert max(coeffs) == n
+        assert all(isinstance(c, F) for c in reduced)
+        assert reduced == _classical(n)
+        assert len(reduced) == n + 1
 
 
 def test_index_32_exponents():
