@@ -1,5 +1,6 @@
 """Command line behavior: parsing, emission formats, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -234,6 +235,28 @@ class TestPlumbing:
         _, a = run(capsys, "state", "--n", "2", "--alpha", "3/2", "--grid", "-2:2:9")
         _, b = run(capsys, "state", "--n", "2", "--alpha", "3/2", "--grid", "-2:2:9")
         assert a == b
+
+    # sha256 of stdout, pinned before the exact builder moved to the lattice
+    # recurrence (Python 3.11, numpy 2.4, x86-64); a change in any byte of
+    # these outputs must be deliberate and logged
+    @pytest.mark.parametrize("argv,digest", [
+        ("hermite --n 20",
+         "f93428bbccfcaa796275c4112749c438dfce309dafc3c2510e7d8651950a4a9f"),
+        ("hermite --n 20 --format csv",
+         "f4f551572da0048eb8d83e4629226520272f5a2b8b85a8bf8817d10b9d0a83df"),
+        ("hermite --n 20 --alpha 3/2 --format json",
+         "cae4f1d097e6a92a40b28dbd385d34bd94977d50c8bbdcf8e0252394ce8b773d"),
+        ("hermite --n 20 --alpha 1/5",
+         "cd1ce61fe341b5d55a24784b2899909ffc0e296f93e9d17f3a4af98a27a12c43"),
+        ("eigenvalue --n 7 --alpha 3/2 --theta=1/2",
+         "a3c1938d1e2b2b5981923d73a49cce3b3f422d1f77cf313e0159214b3a0d2cef"),
+        ("validate --format json",
+         "f7346ad51b46b766efb134ebb6f03a1593e7cc2a05fbf3f4b2866ea116dc287e"),
+    ])
+    def test_pinned_bytes(self, capsys, argv, digest):
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_csv_roundtrip_precision(self, capsys):
         _, out = run(capsys, "state", "--n", "0", "--alpha", "3/2", "--grid", "0:3:7")
