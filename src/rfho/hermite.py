@@ -3,16 +3,30 @@
 The Fourier-space ground state is phi0(k) = exp(-|k|**(a/2+1) / (a/2+1)),
 so its logarithmic derivative is -sgn(k)|k|**(a/2).  Applying the raising
 operation to phi_n = i**n * H_n * phi0 and stripping phase and ground
-factors gives the reduced recurrence used here:
+factors gives the reduced recurrence
 
     H_0 = 1
     H_{n+1} = 2 sgn(k) |k|**(a/2) H_n - H_n'
 
-All H_n live in the exact signed-power algebra of :mod:`rfho.kterms`,
-generic in the stability index ``a``.  At a = 2 the family collapses to
-the classical Hermite polynomials (see ``standard_reduction``).
-``extract_p_coefficients`` is the one reader of the exponent lattice:
-the a = 2 reduction and the leading-term check are derived from it.
+Every step flips sgn parity once and moves each term one place down an
+exponent lattice.  With b = a/2,
+
+    H_n = sgn(k)**(n mod 2) * sum_i c_{n,i}(b) |k|**((n-i) b - i),
+
+and the recurrence becomes one on the coefficients alone:
+
+    c_{0,0} = 1
+    c_{n+1,i} = 2 c_{n,i} - ((n-i+1) b - (i-1)) c_{n,i-1}
+
+so every c_{n,i} is a polynomial in b with integer coefficients.
+``rf_hermite`` runs this lattice recurrence on Python ints and converts
+only the requested row to the exact signed-power algebra of
+:mod:`rfho.kterms`.  ``ladder_next`` and the weight-derivative builds
+(``rodrigues``, ``rodrigues_family``) run the same recurrence in that
+general algebra instead.  At a = 2 the family collapses to the classical
+Hermite polynomials (see ``standard_reduction``).
+``extract_p_coefficients`` is the one reader of the lattice in a built
+expression; the a = 2 reduction is derived from it.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .kterms import ALPHA, AlphaPoly, KExpr
+from .kterms import ALPHA, AlphaPoly, FracExponent, KExpr, KTerm, _poly
 
 
 class StructureError(ValueError):
@@ -55,22 +69,62 @@ def _check_index(n: int) -> None:
         raise ValueError("index must be a nonnegative integer")
 
 
+def _next_row(n: int, row: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Row n + 1 of the lattice from row n: c_{n+1,i} = 2 c_{n,i} - ((n-i+1) b - (i-1)) c_{n,i-1}.
+
+    Each c is a tuple of ints, the coefficients of b**0, b**1, ...; row n
+    holds c_{n,0..max(n,1)-1}, and c_{n,i} beyond it is zero.
+    """
+    out = []
+    for i in range(n + 1):
+        c = [2 * x for x in row[i]] if i < len(row) else []
+        if i:
+            prev = row[i - 1]
+            c += [0] * (len(prev) + 1 - len(c))
+            u, v = n - i + 1, 1 - i
+            for d, x in enumerate(prev):
+                c[d] -= v * x
+                c[d + 1] -= u * x
+        out.append(tuple(c))
+    return tuple(out)
+
+
+#: lattice rows 0..len-1, grown on demand; each growth replaces the tuple in
+#: one assignment, so concurrent readers see either the old rows or the new
+_rows: tuple[tuple[tuple[int, ...], ...], ...] = (((1,),),)
+
+
+def _lattice_row(n: int) -> tuple[tuple[int, ...], ...]:
+    global _rows
+    rows = _rows
+    if len(rows) <= n:
+        grown = list(rows)
+        while len(grown) <= n:
+            grown.append(_next_row(len(grown) - 1, grown[-1]))
+        _rows = rows = tuple(grown)
+    return rows[n]
+
+
 # typed, so that a float such as 2.0 misses the entry for 2 and is refused
 @lru_cache(maxsize=None, typed=True)
 def rf_hermite(n: int) -> RFHermite:
-    """n-th generalized Hermite polynomial, built by iterating the ladder from H_0 = 1.
+    """n-th generalized Hermite polynomial, read off row n of the lattice recurrence.
 
-    Cached; safe for concurrent reads once built.  Lower members are
-    requested in ascending order, so each is a cache hit or one ladder
-    step from the one before it, and the call depth stays bounded
-    whatever n is.
+    The rows are integer polynomials in b = a/2 (see the module
+    docstring), shared by all n and grown in a loop, so the build never
+    recurses whatever n is.  Only row n is converted to a ``KExpr``, one
+    ``AlphaPoly`` per term.  Cached; safe for concurrent calls.
     """
     _check_index(n)
-    if n == 0:
-        return RFHermite(0, KExpr.one())
-    for k in range(1, n - 1):
-        rf_hermite(k)
-    return ladder_next(rf_hermite(n - 1))
+    # c_{n,i} has degree exactly i in b, its top coefficient of sign (-1)**i
+    # (2 c_{n,i} and -(n-i+1) b c_{n,i-1} add with one sign there), so no
+    # term vanishes, and the keys (n-i, -i, n mod 2) descend with i: the
+    # tuple is already the canonical sum.  b**d = a**d / 2**d puts c over 2**i.
+    terms = []
+    for i, c in enumerate(_lattice_row(n)):
+        coeff = _poly([x << (i - d) for d, x in enumerate(c)], 1 << i)
+        terms.append(KTerm(coeff, n % 2, FracExponent(n - i, -i)))
+    return RFHermite(n, KExpr(tuple(terms)))
 
 
 def _weight_factors(n: int) -> Iterator[KExpr]:
@@ -91,9 +145,11 @@ def rodrigues_family(n: int) -> list[RFHermite]:
     H_m = (-1)**m * exp(W) * d^m/dk^m exp(-W) = (-1)**m G_m.  No sgn(k)**m
     prefactor is applied: with it, m = 1 would give 2|k|**(a/2) instead of
     the ladder's 2 sgn(k)|k|**(a/2).  With W' = 2 sgn(k)|k|**(a/2), the
-    step G_{m+1} = G_m' - W' G_m is exactly the ladder step for H_m, so
-    agreement with the ladder output checks that the exact algebra's sign
-    and merge rules agree; it is not an independent check of H_n.
+    step G_{m+1} = G_m' - W' G_m is exactly the ladder step for H_m, run in
+    the general term algebra.  Agreement with ``rf_hermite``, which runs
+    that recurrence on the lattice coefficients, checks two code paths for
+    one recurrence against each other; it is not an independent derivation
+    of H_n.
     """
     _check_index(n)
     return [RFHermite(m, -g if m % 2 else g) for m, g in enumerate(_weight_factors(n))]
@@ -152,16 +208,6 @@ def standard_reduction(h: RFHermite) -> list[Fraction]:
     return out
 
 
-def leading_term_checks(h: RFHermite) -> None:
-    """Raise StructureError unless H_n lies on the lattice with leading term 2**n sgn**n |k|**(n a/2).
-
-    The lattice already bounds the rest: term i has j = n - i <= n,
-    j + m = n - 2i <= n, and there are at most max(n, 1) terms.
-    """
-    if extract_p_coefficients(h)[0] != AlphaPoly.const(Fraction(2) ** h.n):
-        raise StructureError("leading coefficient is not 2**n")
-
-
 __all__ = [
     "ALPHA",
     "LADDER_FACTOR",
@@ -169,7 +215,6 @@ __all__ = [
     "StructureError",
     "extract_p_coefficients",
     "ladder_next",
-    "leading_term_checks",
     "rf_hermite",
     "rodrigues",
     "rodrigues_family",

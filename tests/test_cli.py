@@ -236,7 +236,7 @@ class TestPlumbing:
         _, b = run(capsys, "state", "--n", "2", "--alpha", "3/2", "--grid", "-2:2:9")
         assert a == b
 
-    # sha256 of stdout, pinned before the exact builder moved to the lattice
+    # sha256 of stdout, pinned before rf_hermite moved to the lattice
     # recurrence (Python 3.11, numpy 2.4, x86-64); a change in any byte of
     # these outputs must be deliberate and logged
     @pytest.mark.parametrize("argv,digest", [

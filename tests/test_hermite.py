@@ -1,16 +1,19 @@
-"""Polynomial family: ladder vs weight-derivative build, reductions, structure."""
+"""Polynomial family: lattice build vs ladder step and weight-derivative build, reductions, structure."""
 
+import random
 import sys
+import threading
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from rfho import hermite
 from rfho.hermite import (
     RFHermite,
     StructureError,
     extract_p_coefficients,
     ladder_next,
-    leading_term_checks,
     rf_hermite,
     rodrigues,
     rodrigues_family,
@@ -36,13 +39,24 @@ def test_first_three_members():
     assert rf_hermite(3).expr == h3
 
 
+def _assert_leading_term(h):
+    p = extract_p_coefficients(h)
+    assert len(p) == max(h.n, 1)
+    assert p[0] == AlphaPoly.const(2**h.n)
+
+
 def test_ladder_equals_rodrigues():
     # up to the largest size the benchmark proves
     for h in rodrigues_family(40):
         assert rf_hermite(h.n).expr == h.expr
-        leading_term_checks(h)
-        extract_p_coefficients(h)
+        _assert_leading_term(h)
     assert rodrigues(40).expr == rf_hermite(40).expr
+
+
+def test_lattice_build_equals_one_ladder_step():
+    # the lattice recurrence against the general term algebra, step by step
+    for n in range(1, 41):
+        assert ladder_next(rf_hermite(n - 1)) == rf_hermite(n)
 
 
 def test_non_integer_index_refused():
@@ -70,8 +84,8 @@ def test_ladder_next_increments_index():
 
 
 def test_structure_invariants():
-    for n in range(13):
-        leading_term_checks(rf_hermite(n))
+    for n in range(41):
+        _assert_leading_term(rf_hermite(n))
 
 
 def test_term_count_bound():
@@ -108,18 +122,6 @@ def test_standard_reduction_refuses_a_wrong_parity_member():
         standard_reduction(RFHermite(1, KExpr.monomial(2, 0, 1, 0)))
 
 
-def test_leading_term_checks_refuses_a_scaled_member():
-    with pytest.raises(StructureError, match=r"2\*\*n"):
-        leading_term_checks(RFHermite(1, rf_hermite(1).expr.scale(F(5, 4))))
-
-
-def test_leading_term_checks_refuses_a_missing_leading_term():
-    headless = rf_hermite(3).expr - KExpr.monomial(8, 1, 3, 0)
-    assert len(headless.terms) == 2
-    with pytest.raises(StructureError):
-        leading_term_checks(RFHermite(3, headless))
-
-
 def _classical(n: int) -> list[int]:
     h = [1]
     for _ in range(n):
@@ -130,7 +132,7 @@ def _classical(n: int) -> list[int]:
 
 
 def test_standard_reduction_matches_classical():
-    for n in range(11):
+    for n in range(41):
         reduced = standard_reduction(rf_hermite(n))
         assert all(isinstance(c, F) for c in reduced)
         assert reduced == _classical(n)
@@ -156,9 +158,15 @@ def _call_depth():
     return depth
 
 
-def test_cold_build_needs_no_deep_recursion():
-    built = rf_hermite(45)
+def _reset_builds(monkeypatch):
+    """Empty the member cache and cut the lattice rows back to row 0."""
     rf_hermite.cache_clear()
+    monkeypatch.setattr(hermite, "_rows", hermite._rows[:1])
+
+
+def test_cold_build_needs_no_deep_recursion(monkeypatch):
+    built = rf_hermite(45)
+    _reset_builds(monkeypatch)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_call_depth() + 30)
     try:
@@ -166,3 +174,52 @@ def test_cold_build_needs_no_deep_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert rebuilt == built
+
+
+def _build_in_threads(orders):
+    """rf_hermite(n) for each order's n, one thread per order, started together."""
+    results = [{} for _ in orders]
+    errors = []
+    start = threading.Barrier(len(orders))
+
+    def build(order, out):
+        try:
+            start.wait(timeout=60)
+            for n in order:
+                out[n] = rf_hermite(n)
+        except Exception as exc:  # reported by the caller; a thread cannot raise into the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=build, args=pair) for pair in zip(orders, results)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    return results, errors
+
+
+def test_concurrent_cold_builds_match_sequential(monkeypatch):
+    _reset_builds(monkeypatch)
+    expected = [rf_hermite(n) for n in range(31)]
+    next_row = hermite._next_row
+
+    def yielding_next_row(n, row):
+        # give up the interpreter lock while a row is built, so that
+        # another thread's growth can interleave with this one
+        time.sleep(0)
+        return next_row(n, row)
+
+    monkeypatch.setattr(hermite, "_next_row", yielding_next_row)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(10):
+            _reset_builds(monkeypatch)
+            orders = [random.Random(4 * round_ + t).sample(range(31), 31) for t in range(4)]
+            results, errors = _build_in_threads(orders)
+            assert errors == []
+            for out in results:
+                assert [out[n] for n in range(31)] == expected
+    finally:
+        sys.setswitchinterval(interval)
