@@ -21,9 +21,9 @@ and the recurrence becomes one on the coefficients alone:
 so every c_{n,i} is a polynomial in b with integer coefficients.
 ``rf_hermite`` runs this lattice recurrence on Python ints and converts
 only the requested row to the exact signed-power algebra of
-:mod:`rfho.kterms`.  ``ladder_next`` and the weight-derivative builds
-(``rodrigues``, ``rodrigues_family``) run the same recurrence in that
-general algebra instead.  At a = 2 the family collapses to the classical
+:mod:`rfho.kterms`.  ``ladder_next`` takes the same step in that general
+algebra, and the Rodrigues builds (``rodrigues``, ``rodrigues_family``)
+iterate it from H_0 = 1.  At a = 2 the family collapses to the classical
 Hermite polynomials (see ``standard_reduction``).
 ``extract_p_coefficients`` is the one reader of the lattice in a built
 expression; the a = 2 reduction is derived from it.
@@ -31,24 +31,22 @@ expression; the a = 2 reduction is derived from it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
-from .kterms import ALPHA, AlphaPoly, FracExponent, KExpr, KTerm, _poly
+from .kterms import AlphaPoly, FracExponent, KExpr, KTerm, _poly
 
 
 class StructureError(ValueError):
     """An expression does not have the exponent layout required by the operation."""
 
 
-#: 2 sgn(k) |k|**(a/2), the multiplicative part of the raising operation
-LADDER_FACTOR = KExpr.monomial(2, 1, 1, 0)
+#: s = sgn(k)|k|**(a/2), minus the log-derivative of the ground state
+S_EXPR = KExpr.monomial(1, 1, 1, 0)
 
-#: derivative of -W with W = 2|k|**(a/2+1)/(a/2+1), i.e. (exp(-W))'/exp(-W)
-_MINUS_W_PRIME = KExpr.monomial(-2, 1, 1, 0)
+#: 2s, the multiplicative part of the raising operation
+LADDER_FACTOR = S_EXPR.scale(2)
 
 
 @dataclass(frozen=True)
@@ -127,42 +125,35 @@ def rf_hermite(n: int) -> RFHermite:
     return RFHermite(n, KExpr(tuple(terms)))
 
 
-def _weight_factors(n: int) -> Iterator[KExpr]:
-    """G_0..G_n in exp(W) d^m/dk^m exp(-W) = G_m, W = 2|k|**(a/2+1)/(a/2+1), one at a time.
-
-        G_0 = 1,   G_{m+1} = G_m' + G_m * (-W')
-    """
-    g = KExpr.one()
-    yield g
-    for _ in range(n):
-        g = g.differentiate() + g * _MINUS_W_PRIME
-        yield g
-
-
 def rodrigues_family(n: int) -> list[RFHermite]:
-    """H_0..H_n from the weight exp(-W), in one pass.
+    """H_0..H_n from the weight exp(-W), W' = 2s, in one pass.
 
-    H_m = (-1)**m * exp(W) * d^m/dk^m exp(-W) = (-1)**m G_m.  No sgn(k)**m
-    prefactor is applied: with it, m = 1 would give 2|k|**(a/2) instead of
-    the ladder's 2 sgn(k)|k|**(a/2).  With W' = 2 sgn(k)|k|**(a/2), the
-    step G_{m+1} = G_m' - W' G_m is exactly the ladder step for H_m, run in
-    the general term algebra.  Agreement with ``rf_hermite``, which runs
-    that recurrence on the lattice coefficients, checks two code paths for
-    one recurrence against each other; it is not an independent derivation
-    of H_n.
+    The Rodrigues form H_m = (-1)**m exp(W) d^m/dk^m exp(-W) = (-1)**m G_m
+    has G_0 = 1 and G_{m+1} = G_m' - W' G_m, which for H_m is the ladder
+    step; so the family is ``ladder_next`` iterated from H_0 = 1 in the
+    general term algebra.  No sgn(k)**m prefactor is applied: with it,
+    m = 1 would give 2|k|**(a/2) instead of the ladder's 2 sgn(k)|k|**(a/2).
+    Agreement with ``rf_hermite``, which runs that recurrence on the lattice
+    coefficients, checks two code paths for one recurrence against each
+    other; it is not an independent derivation of H_n.
     """
     _check_index(n)
-    return [RFHermite(m, -g if m % 2 else g) for m, g in enumerate(_weight_factors(n))]
+    family = [RFHermite(0, KExpr.one())]
+    for _ in range(n):
+        family.append(ladder_next(family[-1]))
+    return family
 
 
 def rodrigues(n: int) -> RFHermite:
     """H_n from the weight exp(-W): the last member of ``rodrigues_family(n)``.
 
-    Walks the same recurrence but keeps only the current factor.
+    Takes the same ladder steps but keeps only the current member.
     """
     _check_index(n)
-    g = deque(_weight_factors(n), maxlen=1)[0]
-    return RFHermite(n, -g if n % 2 else g)
+    h = RFHermite(0, KExpr.one())
+    for _ in range(n):
+        h = ladder_next(h)
+    return h
 
 
 def extract_p_coefficients(h: RFHermite) -> list[AlphaPoly]:
@@ -209,9 +200,9 @@ def standard_reduction(h: RFHermite) -> list[Fraction]:
 
 
 __all__ = [
-    "ALPHA",
     "LADDER_FACTOR",
     "RFHermite",
+    "S_EXPR",
     "StructureError",
     "extract_p_coefficients",
     "ladder_next",

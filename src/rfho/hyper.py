@@ -528,11 +528,6 @@ def gaussian_values(xs: Iterable) -> list[float]:
     return out
 
 
-def gaussian_via_pfq(x) -> float:
-    """exp(-x**2/2) at one x, rebuilt from two confluent series (see gaussian_values)."""
-    return gaussian_values([x])[0]
-
-
 __all__ = [
     "ClosedFormPsi0",
     "ClosedFormTerm",
@@ -544,6 +539,5 @@ __all__ = [
     "closed_form_values",
     "eval_closed_form",
     "gaussian_values",
-    "gaussian_via_pfq",
     "pfq_mp",
 ]

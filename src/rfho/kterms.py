@@ -294,7 +294,7 @@ class _TermSum:
         return type(self)(tuple(self._term(key, -coeff) for key, coeff in self._pairs()))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._merge(self._pairs() + [(key, -coeff) for key, coeff in other._pairs()])
 
     def scale(self, factor):
         f = self._coerce(factor)

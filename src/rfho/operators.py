@@ -213,12 +213,6 @@ class ComplexFixed:
     def __sub__(self, other: ComplexFixed) -> ComplexFixed:
         return ComplexFixed(self.re - other.re, self.im - other.im)
 
-    def __mul__(self, other: ComplexFixed) -> ComplexFixed:
-        return ComplexFixed(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
     def times_i(self) -> ComplexFixed:
         return ComplexFixed(-self.im, self.re)
 

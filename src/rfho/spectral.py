@@ -10,22 +10,26 @@ is the stretched-exponential ground state
 and the n-th eigenstate is phi_n = i**n H_n(k) phi0(k) with H_n from
 :mod:`rfho.hermite`.  These states are eigenfunctions of the full operator
 only locally: applying the operator and dividing back by phi_n yields a
-k-dependent "local eigenvalue"
+k-dependent "local eigenvalue".  With s = sgn(k)|k|**(a/2), minus the
+log-derivative of phi0, stripping phi0 from -phi_n'' gives
+-H_n'' + 2s H_n' - (s**2 - s') H_n, and the ladder step differentiated,
+H_{n+1}' = 2s' H_n + 2s H_n' - H_n'', turns that into
+H_{n+1}' - s' H_n - |k|**a H_n.  So
 
-    lam_n(k) = [ S_theta(k) H_n - H_n'' + 2 s H_n' - (s**2 - s') H_n ] / (a H_n)
+    lam_n(k) = [ H_{n+1}' - s' H_n + (S_theta(k) - |k|**a) H_n ] / (a H_n)
 
-where s = sgn(k)|k|**(a/2) is minus the log-derivative of phi0 and
-S_theta(k) = |k|**a exp(i sgn(k) theta pi/2).  The numerator and
-denominator are exact expressions in the signed-power algebra; the 1/a
-scaling is carried by the denominator polynomial so everything stays
+with S_theta(k) = |k|**a exp(i sgn(k) theta pi/2): one derivative of
+H_{n+1} = ``ladder_next(H_n)`` and no product s**2.  At a = 2, s' = 1 and
+H_{n+1}' = 2(n+1) H_n, so the symmetric lam_n is n + 1/2.  The numerator
+and denominator are exact expressions in the signed-power algebra; the
+1/a scaling is carried by the denominator polynomial so everything stays
 polynomial in ``a``.
 
 Exact symbolic eigenvalues require the half-angle cosine and sine of
 theta*pi/2 to be rational, which restricts theta to integers (0 gives the
 symmetric operator, 1 the fully skewed one).  Arbitrary rational theta is
 supported numerically through ``sample_local_eigenvalue``, which adds the
-exact correction (exp(i sgn(k) theta pi/2) - 1) |k|**a / a to the
-symmetric eigenvalue.
+same theta term (S_theta - |k|**a) / a to the symmetric eigenvalue.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .hermite import RFHermite, rf_hermite
+from .hermite import S_EXPR, RFHermite, ladder_next, rf_hermite
 from .kterms import AlphaPoly, DomainError, FixedKExpr, KExpr, _as_fraction
 
 
@@ -69,10 +73,6 @@ def symbol_eval(order, asymmetry, k: float) -> complex:
     cos, sin = half_turn(asymmetry)
     mag = abs(kf) ** float(q)
     return complex(mag * cos, mag * sin if kf > 0 else -mag * sin)
-
-
-#: sgn(k)|k|**(a/2), minus the log-derivative of the ground state
-S_EXPR = KExpr.monomial(1, 1, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -200,15 +200,14 @@ def local_eigenvalue(n: int, alpha, theta=0) -> LocalEigenvalue:
     cos_half, sin_half = half_turn(th)
 
     h = rf_hermite(n).expr
-    h1 = h.differentiate()
-    h2 = h1.differentiate()
-    s2 = S_EXPR * S_EXPR                      # |k|**a
-    sp = S_EXPR.differentiate()               # (a/2)|k|**(a/2-1)
-    # -phi''/phi with the ground factor stripped:
-    bracket = h2 - (S_EXPR * h1).scale(2) + (s2 - sp) * h
     abs_sym_h = KExpr.monomial(1, 0, 2, 0) * h    # |k|**a H_n
     sgn_sym_h = KExpr.monomial(1, 1, 2, 0) * h    # sgn|k|**a H_n
-    re_num = abs_sym_h.scale(cos_half) - bracket
+    # -phi_n''/phi0 = H_{n+1}' - s'H_n - |k|**a H_n (module docstring)
+    re_num = (
+        ladder_next(rf_hermite(n)).expr.differentiate()
+        - S_EXPR.differentiate() * h
+        + abs_sym_h.scale(cos_half - 1)
+    )
     im_num = sgn_sym_h.scale(sin_half)
     den = h.scale(AlphaPoly.of(0, 1))
     return LocalEigenvalue(n, a, th, re_num, im_num, den)

@@ -30,7 +30,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .hermite import RFHermite, StructureError, rf_hermite, rodrigues_family, standard_reduction
+from .hermite import (
+    RFHermite,
+    StructureError,
+    extract_p_coefficients,
+    ladder_next,
+    rf_hermite,
+    rodrigues_family,
+    standard_reduction,
+)
 from .hyper import closed_form_psi0, closed_form_term_values, closed_form_values, gaussian_values
 from .kterms import ALPHA, AlphaPoly, KExpr
 from .operators import (
@@ -91,7 +99,7 @@ def crit_ladder_rodrigues(family: Sequence[KExpr] | None = None) -> CriterionRes
         if expr != h.expr:
             return _result(
                 "ladder-rodrigues", False,
-                f"ladder and weight-derivative forms differ at n={n}",
+                f"lattice and Rodrigues builds differ at n={n}",
             )
     return _result(
         "ladder-rodrigues", True,
@@ -191,13 +199,18 @@ def crit_printed_family() -> CriterionResult:
 
 
 def info_hermite4() -> CriterionResult:
+    # the transcribed third member is exact (crit_printed_family), so one
+    # ladder step from it tells the two coefficients apart; p_2 is the
+    # |k|^(a-2) coefficient
+    step = extract_p_coefficients(ladder_next(RFHermite(3, _printed_h123()[2])))[2]
+    status = "matches the recurrence" if step == H4_COEFF_RECURRENCE else "LADDER CHECK FAILED"
     return _info(
         "hermite4-coefficient",
         "fourth member, |k|^(a-2) term: recurrence gives "
         f"{H4_COEFF_RECURRENCE} [= 6a(a-1)+4(a/2)(a/2-1)], transcribed source gives "
         f"{H4_COEFF_PRINTED} [= 6a(a-1)+2(a/2)(a/2-1)]; both equal "
-        f"{H4_COEFF_RECURRENCE.eval(F(2))} at a=2; ladder and weight-derivative forms "
-        "agree with each other, so the recurrence value is shipped",
+        f"{H4_COEFF_RECURRENCE.eval(F(2))} at a=2; one ladder step from the transcribed "
+        f"third member gives {step} ({status}), so the recurrence value is shipped",
     )
 
 

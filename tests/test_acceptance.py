@@ -132,6 +132,8 @@ def test_info_hermite4_reports_both_coefficients():
     detail = v.info_hermite4().detail
     assert str(v.H4_COEFF_RECURRENCE) in detail
     assert str(v.H4_COEFF_PRINTED) in detail
+    # computed in the entry: one ladder step from the transcribed H_3
+    assert f"gives {v.H4_COEFF_RECURRENCE} (matches the recurrence)" in detail
 
 
 def _family_with_sign_error(n_max: int) -> list[KExpr]:

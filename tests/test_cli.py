@@ -250,8 +250,10 @@ class TestPlumbing:
          "cd1ce61fe341b5d55a24784b2899909ffc0e296f93e9d17f3a4af98a27a12c43"),
         ("eigenvalue --n 7 --alpha 3/2 --theta=1/2",
          "a3c1938d1e2b2b5981923d73a49cce3b3f422d1f77cf313e0159214b3a0d2cef"),
+        # re-pinned when the hermite4-coefficient detail began to report the
+        # ladder step from the transcribed third member
         ("validate --format json",
-         "f7346ad51b46b766efb134ebb6f03a1593e7cc2a05fbf3f4b2866ea116dc287e"),
+         "14332469e74b29b7648d44fc89b9ae2a69c16e18186f25c1ad3dae315678b0e6"),
     ])
     def test_pinned_bytes(self, capsys, argv, digest):
         code, out = run(capsys, *argv.split())

@@ -1,4 +1,4 @@
-"""Polynomial family: lattice build vs ladder step and weight-derivative build, reductions, structure."""
+"""Polynomial family: lattice build vs ladder step and Rodrigues build, reductions, structure."""
 
 import random
 import sys

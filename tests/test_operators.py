@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfho.operators import (
-    ComplexFixed,
     OpExpr,
     compose_factorization,
     fourier_remainder,
@@ -20,7 +19,6 @@ from rfho.operators import (
     reverted_factorization,
     scaled_remainder,
 )
-from rfho.kterms import FixedKExpr
 from rfho.spectral import excited_state, ground_state
 
 
@@ -208,19 +206,3 @@ class TestFourierRemainder:
                     ref = fr.c0.eval(k) * phi + fr.c1.eval(k) * dphi
                     got = fr.eval_applied(state, k)
                     assert abs(got - ref) <= 1e-7 * max(abs(ref), abs(phi))
-
-
-@given(
-    st.fractions(min_value=-2, max_value=2, max_denominator=3),
-    st.fractions(min_value=-2, max_value=2, max_denominator=3),
-    st.fractions(min_value=-2, max_value=2, max_denominator=3),
-    st.fractions(min_value=-2, max_value=2, max_denominator=3),
-)
-@settings(max_examples=40)
-def test_complex_fixed_product(ar, ai, br, bi):
-    mk = lambda r, i: ComplexFixed(
-        FixedKExpr.monomial(r, 0, F(1)), FixedKExpr.monomial(i, 0, F(2))
-    )
-    a, b = mk(ar, ai), mk(br, bi)
-    k = 1.7
-    assert (a * b).eval(k) == pytest.approx(a.eval(k) * b.eval(k), rel=1e-12, abs=1e-12)

@@ -6,12 +6,13 @@ from fractions import Fraction as F
 import pytest
 
 from rfho.hermite import RFHermite, rf_hermite
-from rfho.kterms import DomainError, KExpr
+from rfho.kterms import AlphaPoly, DomainError, KExpr
 from rfho.spectral import (
     KState,
     excited_state,
     ground_kernel_residual,
     ground_state,
+    half_turn,
     kernel_residual_at,
     local_eigenvalue,
     sample_local_eigenvalue,
@@ -106,6 +107,23 @@ class TestKernel:
             kernel_residual_at(F(1), 0.0)
 
 
+def _two_derivative_reference(n: int, theta: int) -> tuple[KExpr, KExpr, KExpr]:
+    """(re_num, im_num, den) of lam_n with both derivatives of H_n taken.
+
+    With phi_n = H_n phi0 and s = sgn(k)|k|^(a/2) = -(log phi0)',
+    phi_n''/phi0 = H'' - 2s H' + (s^2 - s') H, and
+    lam_n = (S_theta H - phi_n''/phi0) / (a H).
+    """
+    cos_half, sin_half = half_turn(theta)
+    h = rf_hermite(n).expr
+    h1 = h.differentiate()
+    s = KExpr.monomial(1, 1, 1, 0)
+    bracket = h1.differentiate() - (s * h1).scale(2) + (s * s - s.differentiate()) * h
+    re_num = (KExpr.monomial(1, 0, 2, 0) * h).scale(cos_half) - bracket
+    im_num = (KExpr.monomial(1, 1, 2, 0) * h).scale(sin_half)
+    return re_num, im_num, h.scale(AlphaPoly.of(0, 1))
+
+
 class TestEigenvalues:
     def test_lambda0_values(self):
         lam = local_eigenvalue(0, F(1), 0)
@@ -116,6 +134,17 @@ class TestEigenvalues:
             lam = local_eigenvalue(n, F(2), 0)
             for k in (0.7, 1.0, 2.3, -1.9):
                 assert lam.eval(k) == pytest.approx(n + 0.5, abs=1e-12)
+        for n in range(21):
+            lam = local_eigenvalue(n, F(2), 0)
+            assert lam.re_num.at_alpha(2) == lam.den.at_alpha(2).scale(F(2 * n + 1, 2))
+            assert lam.im_num.is_zero
+
+    def test_equals_two_derivative_reference(self):
+        # the ladder form must equal the direct -phi''/phi0 build term for term
+        for n in range(21):
+            for theta in range(-3, 4):
+                lam = local_eigenvalue(n, F(3, 2), theta)
+                assert (lam.re_num, lam.im_num, lam.den) == _two_derivative_reference(n, theta)
 
     def test_lambda1_against_transcribed_form(self):
         # (3/2)|k|^(a/2-1) - (1/2)(a/2-1)|k|^(-2) at a=1, k=2
@@ -200,15 +229,3 @@ class TestEigenvalues:
         pts, vals = sample_local_eigenvalue(1, F(2), 0, ks)
         assert pts == ks
         assert vals == pytest.approx([1.5] * 4, abs=1e-12)
-
-    def test_skew_shift_is_symbolically_exact(self):
-        # fully skewed numerator loses the |k|^a part, gains the sgn|k|^a part
-        from rfho.hermite import rf_hermite
-
-        for n in range(3):
-            skew = local_eigenvalue(n, F(1), 1)
-            base = local_eigenvalue(n, F(1), 0)
-            hn = rf_hermite(n).expr
-            assert skew.den == base.den
-            assert skew.re_num - base.re_num == -(KExpr.monomial(1, 0, 2, 0) * hn)
-            assert skew.im_num - base.im_num == KExpr.monomial(1, 1, 2, 0) * hn
