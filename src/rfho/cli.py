@@ -61,8 +61,13 @@ def _grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"grid count must lie in 2..{MAX_POINTS}")
     if not lo < hi:
         raise argparse.ArgumentTypeError("grid min must be below max")
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError("grid span max - min overflows")
     step = (hi - lo) / (count - 1)
-    return [lo + step * i for i in range(count)]
+    points = [lo + step * i for i in range(count)]
+    if not all(p < q for p, q in zip(points, points[1:])):
+        raise argparse.ArgumentTypeError("grid points are not strictly increasing in floating point")
+    return points
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -33,8 +33,9 @@ demand.  Summation stops on a ratio tail bound in the spirit of
 Johansson, "Computing hypergeometric functions rigorously"
 (arXiv:1606.06977): a float bound r_n on all later term ratios, and the
 geometric tail |term_n| r_n/(1 - r_n) below 2**(1 - prec) of the partial
-sum, tested every 8 terms.  A z whose bound stays at least 1 up to the
-10,000-term cap is refused before any term is summed, and a non-finite x
+sum, tested every 8 terms.  Refused before any term is summed: a z whose
+bound stays at least 1 up to the 10,000-term cap, and a z whose bounds
+let a term exceed 2**4096 (index 3/2 from about x = 44); a non-finite x
 is refused outright.  A cancellation guard re-sums once at higher
 precision, still in integers, when the largest term exceeds the sum by
 more than all but 20 of the working digits (index 1 beyond x of about
@@ -78,6 +79,7 @@ _GUARD_DIGITS = 10    # extra digits of the re-sum beyond those lost
 _GUARD_BITS = 32      # fixed-point bits beyond the working precision
 _FIRST_TABLE = 32     # table length built on first use; doubled on demand
 _STRIDE = 8           # terms summed between two stopping tests
+_MAX_TERM_BITS = 4096 # a bound on |term| beyond 2**this is refused before summing
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,7 @@ class _Steps:
         bs = sorted((float(b) for b in dens + [Fraction(1)]), reverse=True)
         self.pairs = tuple(zip(abs_a, bs))
         self.extras = tuple(bs[p:])
+        self.cap_factor = self.factor(_TERM_CAP - 1)  # tested on every call
         self._tables: tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]] = ((), (), ())
 
     def top(self, n: int) -> int:
@@ -213,6 +216,28 @@ def _cap_reached(zabs: float) -> ConvergenceError:
     return ConvergenceError(f"no convergence within {_TERM_CAP} terms (|z| = {zabs:.3g})")
 
 
+def _largest_term_bits(steps: _Steps, zabs: float) -> float:
+    """log2 of a bound on the largest |term| (term 0 is 1), or any value past _MAX_TERM_BITS.
+
+    The sum of log2 r_n over the ratio bounds r_n = |z| factor(n) >= 1 (the
+    exact ratio where factor(n) is infinite) before the first r_n < 1.
+    """
+    bits, n = 0.0, 0
+    tops, bottoms, factors = steps.tables(_FIRST_TABLE)
+    while bits <= _MAX_TERM_BITS:
+        if n == len(factors):
+            tops, bottoms, factors = steps.tables(min(2 * n, _TERM_CAP))
+        r = zabs * factors[n]
+        if r < 1:
+            break
+        if r == math.inf:
+            r = zabs * tops[n] / abs(bottoms[n])
+        # r is nan for z = 0 under an infinite factor, and adds nothing
+        bits += math.log2(r) if r > 1 else 0.0
+        n += 1
+    return bits
+
+
 def _sum_series(steps: _Steps, zfix: int, zabs: float, prec: int) -> tuple[int, int]:
     """(sum, largest |term|), both Python ints scaled by 2**wp.
 
@@ -254,8 +279,9 @@ def _pfq_fixed(spec: PFQSpec, x: tuple[int, int], dps: int) -> int:
 
     z = scale * x**power is formed exactly and rounded once to the grid of
     each summation.  Refused before any term is summed: |z| >= 1 for
-    p = q + 1, and any z whose tail bound is still at least 1 at the term
-    cap, where the stopping rule cannot fire.  Cancellation guard: if the
+    p = q + 1, any z whose tail bound is still at least 1 at the term
+    cap, where the stopping rule cannot fire, and any z whose ratio bounds
+    let a term exceed 2**_MAX_TERM_BITS.  Cancellation guard: if the
     largest |term| exceeds the sum by so much that fewer than 20 digits
     survive, the series is summed once more at dps + (digits lost) + 10
     and rounded back to the dps grid.
@@ -270,8 +296,10 @@ def _pfq_fixed(spec: PFQSpec, x: tuple[int, int], dps: int) -> int:
         zabs = abs(zn) / zd
     except OverflowError:
         zabs = math.inf
-    if zabs * steps.factor(_TERM_CAP - 1) >= 1:
+    if zabs * steps.cap_factor >= 1:
         raise _cap_reached(zabs)
+    if _largest_term_bits(steps, zabs) > _MAX_TERM_BITS:
+        raise ConvergenceError(f"terms may exceed 2**{_MAX_TERM_BITS} before converging (|z| = {zabs:.3g})")
 
     def fixed_z(prec: int) -> int:
         # z rounded to nearest on the 2**-wp grid
@@ -295,7 +323,7 @@ def pfq_mp(spec: PFQSpec, x, dps: int = 40) -> mp.mpf:
     ValueError for a non-finite x, or |z| >= 1 when p = q + 1;
     ConvergenceError where the stopping rule cannot fire within 10,000
     terms, before any term is summed when the ratio bound is still at
-    least 1 at the cap.
+    least 1 at the cap or lets a term exceed 2**4096.
     """
     import mpmath as mp
 

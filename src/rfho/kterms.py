@@ -19,6 +19,14 @@ sums therefore have equal term tuples, so ``==`` and ``hash`` act on
 values.  The rule lives once, in ``_TermSum``; construct through the
 named constructors and the operators to keep it.
 
+Sums, differences, products of two sums of several terms and
+``at_alpha`` merge (``_TermSum._merge``).  A term-wise map with an
+injective key map and nonzero coefficients only re-sorts
+(``_TermSum._sorted``): ``KExpr.differentiate`` ((j, m, p) -> (j, m - 1,
+1 - p), the constant term dropped; the parity flip can swap two keys with
+equal (j, m)), ``scale`` by a nonzero factor, and a ``KExpr`` product with
+a one-term factor.
+
 ``c(a)`` is stored as integer numerators over one positive common
 denominator, ``AlphaPoly(num, den)``, reduced so that gcd(den, *num) == 1
 and with trailing zero numerators stripped (zero is ``((), 1)``).  The
@@ -45,6 +53,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -131,32 +140,31 @@ class AlphaPoly:
         # degree of the zero polynomial is -1 by convention
         return len(self.num) - 1
 
+    def _plus(self, other: AlphaPoly, sign: int) -> AlphaPoly:
+        """self + sign * other over a common denominator, normalised once."""
+        g = math.gcd(self.den, other.den)
+        sa, sb = other.den // g, sign * self.den // g
+        out = [c * sa for c in self.num] + [0] * (len(other.num) - len(self.num))
+        for i, c in enumerate(other.num):
+            out[i] += c * sb
+        return _poly(out, self.den * sa)
+
     def __add__(self, other: AlphaPoly) -> AlphaPoly:
-        a, b = self.num, other.num
-        if self.den != other.den:
-            g = math.gcd(self.den, other.den)
-            sa, sb = other.den // g, self.den // g
-            a = [c * sa for c in a]
-            b = [c * sb for c in b]
-            den = self.den * sa
-        else:
-            den = self.den
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _poly(out, den)
+        return self._plus(other, 1)
 
     def __neg__(self) -> AlphaPoly:
         return AlphaPoly(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other: AlphaPoly) -> AlphaPoly:
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other: AlphaPoly) -> AlphaPoly:
         if not self.num or not other.num:
             return _ZERO
+        if len(other.num) == 1 or len(self.num) == 1:
+            # a constant factor scales the other's numerators
+            (b,), num = (other.num, self.num) if len(other.num) == 1 else (self.num, other.num)
+            return _poly([c * b for c in num], self.den * other.den)
         out = [0] * (len(self.num) + len(other.num) - 1)
         for i, a in enumerate(self.num):
             if not a:
@@ -168,6 +176,13 @@ class AlphaPoly:
     def scale(self, factor) -> AlphaPoly:
         f = _as_fraction(factor)
         return _poly([c * f.numerator for c in self.num], self.den * f.denominator)
+
+    def _times_exponent(self, j: int, m: int) -> AlphaPoly:
+        """self * (j*a/2 + m) in one pass: numerators 2m*num[i] + j*num[i-1] over 2*den."""
+        out = [2 * m * c for c in self.num] + [0]
+        for i, c in enumerate(self.num, 1):
+            out[i] += j * c
+        return _poly(out, 2 * self.den)
 
     def eval(self, alpha: Fraction) -> Fraction:
         """Exact value at ``alpha``: integer Horner on its numerator and denominator."""
@@ -275,6 +290,12 @@ class _TermSum:
         return cls(tuple(cls._term(key, acc[key]) for key in keys))
 
     @classmethod
+    def _sorted(cls, pairs: Iterable[tuple]):
+        """The canonical sum of (key, coeff) pairs with distinct keys and nonzero coefficients."""
+        ordered = sorted(pairs, key=itemgetter(0), reverse=cls._descending)
+        return cls(tuple(cls._term(key, coeff) for key, coeff in ordered))
+
+    @classmethod
     def _single(cls, term):
         """The sum of one term: empty when its coefficient is zero."""
         return cls((term,) if term.coeff else ())
@@ -298,7 +319,9 @@ class _TermSum:
 
     def scale(self, factor):
         f = self._coerce(factor)
-        return self._merge((key, coeff * f) for key, coeff in self._pairs())
+        if not f:
+            return self.zero()
+        return self._sorted((key, coeff * f) for key, coeff in self._pairs())
 
 
 def _as_poly(value) -> AlphaPoly:
@@ -329,19 +352,32 @@ class KExpr(_TermSum):
     def monomial(coeff, sgn_parity: int, j: int, m: int) -> KExpr:
         return KExpr._single(KTerm(_as_poly(coeff), sgn_parity, FracExponent(j, m)))
 
-    def __mul__(self, other: KExpr) -> KExpr:
+    def _product_pairs(self, other: KExpr) -> list[tuple]:
         right = other._pairs()
-        return KExpr._merge(
+        return [
             ((j + oj, m + om, (p + op) % 2), c * oc)
             for (j, m, p), c in self._pairs()
             for (oj, om, op), oc in right
-        )
+        ]
+
+    def _derivative_pairs(self, sign: int = 1) -> list[tuple]:
+        """The pairs of sign * d/dk: each coefficient times its exponent j*a/2 + m."""
+        return [
+            ((j, m - 1, 1 - p), c._times_exponent(sign * j, sign * m))
+            for (j, m, p), c in self._pairs()
+            if j or m
+        ]
+
+    def __mul__(self, other: KExpr) -> KExpr:
+        pairs = self._product_pairs(other)
+        # a one-term factor shifts every key by one offset: nothing merges
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            return KExpr._sorted(pairs)
+        return KExpr._merge(pairs)
 
     def differentiate(self) -> KExpr:
-        # multiply by the exponent value j*a/2 + m as a polynomial in a
-        return KExpr._merge(
-            ((j, m - 1, 1 - p), c * _poly([2 * m, j], 2)) for (j, m, p), c in self._pairs()
-        )
+        # (j, m, p) -> (j, m - 1, 1 - p) is injective; the constant term drops
+        return KExpr._sorted(self._derivative_pairs())
 
     def at_alpha(self, alpha) -> FixedKExpr:
         """Substitute the stability index; numerically coincident exponents merge."""

@@ -339,6 +339,24 @@ class TestInputContract:
         assert "Traceback" not in captured.err
         assert captured.err.splitlines()[-1].startswith(f"rfho {argv[0]}: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["state", "--n", "1", "--alpha", "3/2", "--grid=1:1.0000000000000002:5"],
+        ["state", "--n", "1", "--alpha", "3/2", "--space", "x", "--grid=-1e308:1e308:3"],
+        ["eigenvalue", "--n", "1", "--alpha", "3/2", "--grid=1:1.0000000000000002:5"],
+        ["nongauss", "--alpha", "1/5", "--grid=-1e308:1e308:3"],
+        ["nongauss", "--alpha", "1", "--space", "x", "--grid=1:1.0000000000000002:5"],
+    ])
+    def test_grid_that_collapses_in_floating_point_exits_2(self, capsys, argv):
+        # points that round onto each other, or a span max - min that
+        # overflows, are refused before any work
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith(f"rfho {argv[0]}: ")
+
     def test_grid_count_capped_before_allocation(self, capsys):
         tracemalloc.start()
         try:

@@ -293,3 +293,21 @@ def test_values_beyond_float_range_are_infinite():
     assert eval_closed_form(table, 40.0) == -math.inf
     inf = math.inf
     assert closed_form_term_values(table, 40.0) == [-inf, inf, -inf, inf, -inf, inf, inf]
+
+
+@pytest.mark.parametrize("x", [60.0, -60.0, 80.0])
+def test_terms_beyond_4096_bits_are_refused_before_summing(x):
+    # at x = 60 the ratio bounds let an index-3/2 term reach 2**8726;
+    # summing it took 0.46 s and gave -inf, refusing takes milliseconds
+    table = closed_form_psi0(F(3, 2))
+    for call in (lambda: eval_closed_form(table, x), lambda: closed_form_values(table, [0.0, x])):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="2\\*\\*4096"):
+            call()
+        assert time.perf_counter() - start < 0.1
+
+
+def test_terms_below_4096_bits_are_summed():
+    # index 1 at x = 20 bounds its terms by 2**3849; index 3/2 at x = 40
+    # (2**3394) is pinned to -inf above
+    assert 0 < eval_closed_form(closed_form_psi0(F(1)), 20.0) < 1e-3

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfho.hermite import LADDER_FACTOR, RFHermite, ladder_next
 from rfho.kterms import (
     ALPHA,
     AlphaPoly,
@@ -264,33 +265,79 @@ def _kexpr_of(parts) -> KExpr:
     return out
 
 
+# one term with a nonzero coefficient
+single_parts = st.tuples(
+    st.lists(coeff_fracs, min_size=1, max_size=3).filter(any),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=-1, max_value=1),
+).map(lambda part: [part])
+
+
+def _ref_product(r: dict, q: dict) -> dict:
+    return _kref_merge(
+        ((j + oj, m + om, (p + op) % 2), _ref_mul(cs, ds))
+        for (j, m, p), cs in r.items() for (oj, om, op), ds in q.items()
+    )
+
+
+def _ref_derivative(r: dict) -> dict:
+    # d/dk multiplies by the exponent m + j*a/2 and lowers m by one
+    return _kref_merge(
+        ((j, m - 1, 1 - p), _ref_mul(cs, [F(m), F(j, 2)])) for (j, m, p), cs in r.items()
+    )
+
+
+def _assert_canonical(e: KExpr) -> None:
+    keys = [(t.exponent.j, t.exponent.m, t.sgn_parity) for t in e.terms]
+    assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:]))
+    for t in e.terms:
+        num, den = t.coeff.num, t.coeff.den
+        assert num and num[-1] != 0 and den > 0
+        assert math.gcd(den, *num) == 1
+
+
 class TestKExprReference:
-    @given(kterm_parts, kterm_parts, scale_factors, st.sampled_from(EVAL_ALPHAS))
+    @given(kterm_parts, kterm_parts, single_parts, scale_factors, st.sampled_from(EVAL_ALPHAS))
     @settings(max_examples=150)
-    def test_matches_dict_reference(self, ps, qs, f, a):
-        e, g = _kexpr_of(ps), _kexpr_of(qs)
-        r, q = _kref(ps), _kref(qs)
+    def test_matches_dict_reference(self, ps, qs, one, f, a):
+        e, g, u = _kexpr_of(ps), _kexpr_of(qs), _kexpr_of(one)
+        r, q, w = _kref(ps), _kref(qs), _kref(one)
+        # both parities at one (j, m), which the sgn flip of d/dk swaps, and
+        # a constant term, which d/dk drops
+        c1 = one[0][0]
+        mixed_parts = [*ps, (c1, 0, 3, -1), ([-c for c in c1], 1, 3, -1), (c1, 0, 0, 0)]
+        mixed, rm = _kexpr_of(mixed_parts), _kref(mixed_parts)
+        h = RFHermite(len(ps), e)
         results = (
             (e, r),
             (e + g, _kref_merge([*r.items(), *q.items()])),
             (e - g, _kref_merge([*r.items(), *((key, [-c for c in cs]) for key, cs in q.items())])),
             (-e, {key: [-c for c in cs] for key, cs in r.items()}),
-            (e * g, _kref_merge(
-                ((j + oj, m + om, (p + op) % 2), _ref_mul(cs, ds))
-                for (j, m, p), cs in r.items() for (oj, om, op), ds in q.items()
-            )),
+            (e * g, _ref_product(r, q)),
+            # products with a one-term factor, on either side
+            (e * u, _ref_product(r, w)),
+            (u * e, _ref_product(w, r)),
             (e.scale(f), _kref_merge((key, [c * f for c in cs]) for key, cs in r.items())),
             (e.scale(0), {}),
-            # d/dk multiplies by the exponent m + j*a/2 and lowers m by one
-            (e.differentiate(), _kref_merge(
-                ((j, m - 1, 1 - p), _ref_mul(cs, [F(m), F(j, 2)])) for (j, m, p), cs in r.items()
-            )),
+            (mixed.scale(f), _kref_merge((key, [c * f for c in cs]) for key, cs in rm.items())),
+            (mixed.scale(0), {}),
+            (e.differentiate(), _ref_derivative(r)),
+            (mixed.differentiate(), _ref_derivative(rm)),
+            # one ladder step: 2 sgn|k|^(a/2) H - H'
+            (ladder_next(h).expr, _kref_merge([
+                *_ref_product({(1, 0, 1): [F(2)]}, r).items(),
+                *((key, [-c for c in cs]) for key, cs in _ref_derivative(r).items()),
+            ])),
+            (LADDER_FACTOR * e - e.differentiate(), _kdict(ladder_next(h).expr)),
         )
+        assert ladder_next(h).n == h.n + 1
         for got, want in results:
             assert _kdict(got) == want
             keys = [(t.exponent.j, t.exponent.m, t.sgn_parity) for t in got.terms]
             assert keys == sorted(want, reverse=True)
             assert got.is_zero == (not want)
+            _assert_canonical(got)
             again = sum(
                 (KExpr.monomial(t.coeff, t.sgn_parity, t.exponent.j, t.exponent.m)
                  for t in reversed(got.terms)),
