@@ -58,11 +58,7 @@ class RFHermite:
 
 
 def ladder_next(h: RFHermite) -> RFHermite:
-    """One raising step: H_{n+1} = 2 sgn|k|**(a/2) H_n - H_n'.
-
-    The (key, coeff) pairs of 2s H_n and of -H_n' are merged once, with no
-    intermediate sum; on the lattice, term i of one meets term i - 1 of the other.
-    """
+    """One raising step: H_{n+1} = 2 sgn|k|**(a/2) H_n - H_n', both parts' pairs merged once."""
     pairs = LADDER_FACTOR._product_pairs(h.expr) + h.expr._derivative_pairs(-1)
     return RFHermite(h.n + 1, KExpr._merge(pairs))
 

@@ -216,11 +216,11 @@ def _cap_reached(zabs: float) -> ConvergenceError:
     return ConvergenceError(f"no convergence within {_TERM_CAP} terms (|z| = {zabs:.3g})")
 
 
-def _largest_term_bits(steps: _Steps, zabs: float) -> float:
-    """log2 of a bound on the largest |term| (term 0 is 1), or any value past _MAX_TERM_BITS.
+def _growth(steps: _Steps, zabs: float) -> int:
+    """The first n with ratio bound r_n = |z| factor(n) < 1, before which terms may grow.
 
-    The sum of log2 r_n over the ratio bounds r_n = |z| factor(n) >= 1 (the
-    exact ratio where factor(n) is infinite) before the first r_n < 1.
+    ConvergenceError if the product of the r_n before it (the exact |ratio|
+    where factor(n) is infinite), a bound on every |term|, passes 2**_MAX_TERM_BITS.
     """
     bits, n = 0.0, 0
     tops, bottoms, factors = steps.tables(_FIRST_TABLE)
@@ -229,37 +229,33 @@ def _largest_term_bits(steps: _Steps, zabs: float) -> float:
             tops, bottoms, factors = steps.tables(min(2 * n, _TERM_CAP))
         r = zabs * factors[n]
         if r < 1:
-            break
+            return n
         if r == math.inf:
-            r = zabs * tops[n] / abs(bottoms[n])
+            # top and bottom carry the parameters' signs and may lie beyond float range
+            r = zabs * _float(abs(tops[n]), abs(bottoms[n]))
         # r is nan for z = 0 under an infinite factor, and adds nothing
         bits += math.log2(r) if r > 1 else 0.0
         n += 1
-    return bits
+    raise ConvergenceError(f"terms may exceed 2**{_MAX_TERM_BITS} before converging (|z| = {zabs:.3g})")
 
 
-def _sum_series(steps: _Steps, zfix: int, zabs: float, prec: int) -> tuple[int, int]:
+def _sum_series(steps: _Steps, zfix: int, zabs: float, prec: int, grow: int) -> tuple[int, int]:
     """(sum, largest |term|), both Python ints scaled by 2**wp.
 
     wp = prec + _GUARD_BITS; ``zfix`` is z on that grid and ``zabs`` is
-    |z| as a float.  While the ratio bound r_n is at least 1 the terms may
-    still grow, and the largest is tracked.  Once r_n < 1 it bounds every
-    later ratio, so no later term is larger; from there the stopping test
-    |term| r/(1 - r) <= 2**(1 - prec) |sum| is made exactly in integers
-    every _STRIDE terms.
+    |z| as a float.  Terms before ``grow`` (from ``_growth``) may grow, and
+    the largest is tracked.  From there r_n < 1 bounds every later ratio, so
+    no later term is larger; the stopping test |term| r/(1 - r) <= 2**(1 -
+    prec) |sum| is made exactly in integers every _STRIDE terms.
     """
     wp = prec + _GUARD_BITS
     term = total = largest = 1 << wp
-    tops, bottoms, factors = steps.tables(_FIRST_TABLE)
-    for n in range(_TERM_CAP):
-        if n == len(factors):
-            tops, bottoms, factors = steps.tables(min(2 * n, _TERM_CAP))
-        # an infinite factor gives nan at z = 0, which fails r < 1 as inf does
-        if zabs * factors[n] < 1:
-            break
+    tops, bottoms, factors = steps.tables(grow + 1)
+    for n in range(grow):
         term = (term * zfix >> wp) * tops[n] // bottoms[n]
         total += term
         largest = max(largest, abs(term))
+    n = grow
     while n + _STRIDE < _TERM_CAP:
         r = zabs * factors[n]
         num, den = (r / (1 - r)).as_integer_ratio()
@@ -298,22 +294,21 @@ def _pfq_fixed(spec: PFQSpec, x: tuple[int, int], dps: int) -> int:
         zabs = math.inf
     if zabs * steps.cap_factor >= 1:
         raise _cap_reached(zabs)
-    if _largest_term_bits(steps, zabs) > _MAX_TERM_BITS:
-        raise ConvergenceError(f"terms may exceed 2**{_MAX_TERM_BITS} before converging (|z| = {zabs:.3g})")
+    grow = _growth(steps, zabs)
 
     def fixed_z(prec: int) -> int:
         # z rounded to nearest on the 2**-wp grid
         return ((zn << (prec + _GUARD_BITS + 1)) // zd + 1) >> 1
 
     prec = _prec(dps)
-    total, largest = _sum_series(steps, fixed_z(prec), zabs, prec)
+    total, largest = _sum_series(steps, fixed_z(prec), zabs, prec, grow)
     if largest * 10**_SPARE_DIGITS <= abs(total) * 10**dps:
         return total
     # largest / |total| < 2**(bits + 1): round the digits lost up
     bits = largest.bit_length() - abs(total).bit_length()
     lost = -(-(bits + 1) * 30103 // 100000) if total else dps
     extra = _prec(dps + lost + _GUARD_DIGITS) - prec
-    total, _ = _sum_series(steps, fixed_z(prec + extra), zabs, prec + extra)
+    total, _ = _sum_series(steps, fixed_z(prec + extra), zabs, prec + extra, grow)
     return (total + (1 << (extra - 1))) >> extra
 
 

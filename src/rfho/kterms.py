@@ -19,13 +19,8 @@ sums therefore have equal term tuples, so ``==`` and ``hash`` act on
 values.  The rule lives once, in ``_TermSum``; construct through the
 named constructors and the operators to keep it.
 
-Sums, differences, products of two sums of several terms and
-``at_alpha`` merge (``_TermSum._merge``).  A term-wise map with an
-injective key map and nonzero coefficients only re-sorts
-(``_TermSum._sorted``): ``KExpr.differentiate`` ((j, m, p) -> (j, m - 1,
-1 - p), the constant term dropped; the parity flip can swap two keys with
-equal (j, m)), ``scale`` by a nonzero factor, and a ``KExpr`` product with
-a one-term factor.
+Sums, differences, products and ``at_alpha`` merge (``_TermSum._merge``);
+``KExpr.differentiate`` only re-sorts and ``scale`` keeps the keys.
 
 ``c(a)`` is stored as integer numerators over one positive common
 denominator, ``AlphaPoly(num, den)``, reduced so that gcd(den, *num) == 1
@@ -53,7 +48,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable
 
 
@@ -161,8 +155,7 @@ class AlphaPoly:
     def __mul__(self, other: AlphaPoly) -> AlphaPoly:
         if not self.num or not other.num:
             return _ZERO
-        if len(other.num) == 1 or len(self.num) == 1:
-            # a constant factor scales the other's numerators
+        if len(other.num) == 1 or len(self.num) == 1:  # a constant scales the other's numerators
             (b,), num = (other.num, self.num) if len(other.num) == 1 else (self.num, other.num)
             return _poly([c * b for c in num], self.den * other.den)
         out = [0] * (len(self.num) + len(other.num) - 1)
@@ -290,12 +283,6 @@ class _TermSum:
         return cls(tuple(cls._term(key, acc[key]) for key in keys))
 
     @classmethod
-    def _sorted(cls, pairs: Iterable[tuple]):
-        """The canonical sum of (key, coeff) pairs with distinct keys and nonzero coefficients."""
-        ordered = sorted(pairs, key=itemgetter(0), reverse=cls._descending)
-        return cls(tuple(cls._term(key, coeff) for key, coeff in ordered))
-
-    @classmethod
     def _single(cls, term):
         """The sum of one term: empty when its coefficient is zero."""
         return cls((term,) if term.coeff else ())
@@ -321,7 +308,7 @@ class _TermSum:
         f = self._coerce(factor)
         if not f:
             return self.zero()
-        return self._sorted((key, coeff * f) for key, coeff in self._pairs())
+        return type(self)(tuple(self._term(key, coeff * f) for key, coeff in self._pairs()))
 
 
 def _as_poly(value) -> AlphaPoly:
@@ -369,15 +356,13 @@ class KExpr(_TermSum):
         ]
 
     def __mul__(self, other: KExpr) -> KExpr:
-        pairs = self._product_pairs(other)
-        # a one-term factor shifts every key by one offset: nothing merges
-        if len(self.terms) == 1 or len(other.terms) == 1:
-            return KExpr._sorted(pairs)
-        return KExpr._merge(pairs)
+        return KExpr._merge(self._product_pairs(other))
 
     def differentiate(self) -> KExpr:
-        # (j, m, p) -> (j, m - 1, 1 - p) is injective; the constant term drops
-        return KExpr._sorted(self._derivative_pairs())
+        # (j, m, p) -> (j, m - 1, 1 - p) is injective: nothing merges and the sort
+        # never compares coefficients; the parity flip can swap keys with equal (j, m)
+        pairs = sorted(self._derivative_pairs(), reverse=True)
+        return KExpr(tuple(KExpr._term(key, c) for key, c in pairs))
 
     def at_alpha(self, alpha) -> FixedKExpr:
         """Substitute the stability index; numerically coincident exponents merge."""

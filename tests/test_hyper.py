@@ -300,6 +300,7 @@ def test_terms_beyond_4096_bits_are_refused_before_summing(x):
     # at x = 60 the ratio bounds let an index-3/2 term reach 2**8726;
     # summing it took 0.46 s and gave -inf, refusing takes milliseconds
     table = closed_form_psi0(F(3, 2))
+    eval_closed_form(table, 1.0)  # builds the cached coefficients and tables
     for call in (lambda: eval_closed_form(table, x), lambda: closed_form_values(table, [0.0, x])):
         start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="2\\*\\*4096"):
@@ -311,3 +312,24 @@ def test_terms_below_4096_bits_are_summed():
     # index 1 at x = 20 bounds its terms by 2**3849; index 3/2 at x = 40
     # (2**3394) is pinned to -inf above
     assert 0 < eval_closed_form(closed_form_psi0(F(1)), 20.0) < 1e-3
+
+
+# a negative non-integer numerator over negative denominators: while some
+# b + n <= 0 the bound takes the exact ratio, whose top and bottom are both
+# negative at these steps
+_NEGATIVE_AB = PFQSpec((F(-7, 2),), (F(-5, 2),), F(1), 1)
+# at n = 2..6 one b + n is -2**-1000, so each |ratio| is about 2**993 and
+# term 7 about 2**4950; top and bottom lie beyond float range.  At n = 2
+# and 3 top and bottom are both negative: a bound that kept the sign of
+# their ratio would count only 2**2980 and sum the series
+_TINY = F(1, 2**1000)
+_NEAR_POLES = PFQSpec((F(-7, 2),), tuple(-n - _TINY for n in range(2, 7)), F(1, 2), 1)
+
+
+def test_negative_parameters_bound_the_ratio_magnitude():
+    with mp.workdps(60):
+        ref = mp.hyp1f1(mp.mpf(-7) / 2, mp.mpf(-5) / 2, 1)
+    assert abs(pfq_mp(_NEGATIVE_AB, 1.0) - ref) <= mp.mpf("1e-36") * abs(ref)
+    for spec, x in ((_NEGATIVE_AB, 3000.0), (_NEAR_POLES, 1.0)):
+        with pytest.raises(ConvergenceError, match="2\\*\\*4096"):
+            pfq_mp(spec, x)
