@@ -167,13 +167,7 @@ def cmd_nongauss(args: argparse.Namespace) -> int:
 
 def cmd_factorize(args: argparse.Namespace) -> int:
     d, g = args.delta, args.gamma
-    if d <= 0 or g <= 0:
-        print("rfho factorize: orders must be positive", file=sys.stderr)
-        return 2
     if args.space == "k":
-        if args.theta.denominator != 1:
-            print("rfho factorize: k-space remainders need integer --theta", file=sys.stderr)
-            return 2
         fr = fourier_remainder(g, d, int(args.theta))
         if args.format == "json":
             obj = {
@@ -302,6 +296,13 @@ def _domain_error(args: argparse.Namespace) -> str | None:
         return "--alpha must lie in (0, 2]"
     if n is not None and not 0 <= n <= MAX_N:
         return f"--n must lie in 0..{MAX_N}"
+    if args.command == "factorize":
+        if args.delta <= 0 or args.gamma <= 0:
+            return "orders must be positive"
+        if args.space == "k" and args.theta.denominator != 1:
+            return "k-space remainders need integer --theta"
+        if args.space == "x" and args.theta != 0:
+            return "--theta applies to k-space remainders only; add --space k"
     return None
 
 

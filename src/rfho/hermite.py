@@ -21,10 +21,11 @@ and the recurrence becomes one on the coefficients alone:
 so every c_{n,i} is a polynomial in b with integer coefficients.
 ``rf_hermite`` runs this lattice recurrence on Python ints and converts
 only the requested row to the exact signed-power algebra of
-:mod:`rfho.kterms`.  ``ladder_next`` takes the same step in that general
-algebra, and the Rodrigues builds (``rodrigues``, ``rodrigues_family``)
-iterate it from H_0 = 1.  At a = 2 the family collapses to the classical
-Hermite polynomials (see ``standard_reduction``).
+:mod:`rfho.kterms`; every other layer takes H_n from it.  ``ladder_next``
+takes the same step in that general algebra, and ``rodrigues`` iterates it
+from H_0 = 1 as the second path the ``ladder-rodrigues`` check compares.
+At a = 2 the family collapses to the classical Hermite polynomials (see
+``standard_reduction``).
 ``extract_p_coefficients`` is the one reader of the lattice in a built
 expression; the a = 2 reduction is derived from it.
 """
@@ -126,29 +127,17 @@ def rf_hermite(n: int) -> RFHermite:
     return RFHermite(n, KExpr(tuple(terms)))
 
 
-def rodrigues_family(n: int) -> list[RFHermite]:
-    """H_0..H_n from the weight exp(-W), W' = 2s, in one pass.
+def rodrigues(n: int) -> RFHermite:
+    """H_n from the weight exp(-W), W' = 2s, in the general term algebra.
 
     The Rodrigues form H_m = (-1)**m exp(W) d^m/dk^m exp(-W) = (-1)**m G_m
     has G_0 = 1 and G_{m+1} = G_m' - W' G_m, which for H_m is the ladder
-    step; so the family is ``ladder_next`` iterated from H_0 = 1 in the
-    general term algebra.  No sgn(k)**m prefactor is applied: with it,
-    m = 1 would give 2|k|**(a/2) instead of the ladder's 2 sgn(k)|k|**(a/2).
+    step; so H_n is ``ladder_next`` iterated n times from H_0 = 1, holding
+    one member.  No sgn(k)**m prefactor is applied: with it, m = 1 would
+    give 2|k|**(a/2) instead of the ladder's 2 sgn(k)|k|**(a/2).
     Agreement with ``rf_hermite``, which runs that recurrence on the lattice
     coefficients, checks two code paths for one recurrence against each
     other; it is not an independent derivation of H_n.
-    """
-    _check_index(n)
-    family = [RFHermite(0, KExpr.one())]
-    for _ in range(n):
-        family.append(ladder_next(family[-1]))
-    return family
-
-
-def rodrigues(n: int) -> RFHermite:
-    """H_n from the weight exp(-W): the last member of ``rodrigues_family(n)``.
-
-    Takes the same ladder steps but keeps only the current member.
     """
     _check_index(n)
     h = RFHermite(0, KExpr.one())
@@ -209,6 +198,5 @@ __all__ = [
     "ladder_next",
     "rf_hermite",
     "rodrigues",
-    "rodrigues_family",
     "standard_reduction",
 ]

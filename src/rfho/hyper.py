@@ -535,19 +535,22 @@ _GAUSS_B = _spec([Fraction(3, 2)], [Fraction(5, 2)], Fraction(-1, 2), 2)
 
 
 def gaussian_values(xs: Iterable) -> list[float]:
-    """exp(-x**2/2) at each x, rebuilt from two confluent series in floats.
+    """exp(-x**2/2) at each x, rebuilt from two confluent series.
 
-    1F1(1/2,3/2;-x^2/2) - (x^2/3) 1F1(3/2,5/2;-x^2/2): each series is
-    summed to 40 digits and rounded to float once; the combination is made
-    in float arithmetic.
+    1F1(1/2,3/2;-x^2/2) - (x^2/3) 1F1(3/2,5/2;-x^2/2): the two parts
+    cancel to about x^2/2 log10(e) digits, so each series is summed to
+    that many digits beyond 40, the two sums are combined exactly in
+    integers, and the result is rounded to float once.
     """
-    one = 1 << (_prec(40) + _GUARD_BITS)
     out = []
     for x in xs:
         xf = float(x)
-        r = _ratio(xf)
-        a, b = (_float(_pfq_fixed(spec, r, 40), one) for spec in (_GAUSS_A, _GAUSS_B))
-        out.append(a - xf**2 / 3 * b)
+        num, den = r = _ratio(xf)
+        # beyond x = 100 both series are refused before summing, whatever dps
+        dps = 40 + math.ceil(min(xf * xf, 1e4) / 2 * math.log10(math.e))
+        a, b = (_pfq_fixed(spec, r, dps) for spec in (_GAUSS_A, _GAUSS_B))
+        den3 = 3 * den * den
+        out.append(_float(den3 * a - num * num * b, den3 << (_prec(dps) + _GUARD_BITS)))
     return out
 
 

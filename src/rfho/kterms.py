@@ -371,9 +371,6 @@ class KExpr(_TermSum):
             ((t.exponent.value(a), t.sgn_parity), t.coeff.eval(a)) for t in self.terms
         )
 
-    def eval(self, alpha, k: float) -> float:
-        return self.at_alpha(alpha).eval(k)
-
     def to_json_obj(self) -> list[dict]:
         return [
             {

@@ -19,13 +19,16 @@ against H = -D**a + x**2, a = (d+g)/2, isolates the remainders:
     raising(g)*lowering(d) = H - remainder_forward(g, d)
     lowering(d)*raising(g) = H + remainder_reverted(d, g)
 
+The reverted remainder is the forward one with the orders swapped, so one
+closed form serves both; the normal-ordered products check it.
 For d = g = a both collapse to (a/2) D**(a/2-1), whose 1/a-scaled form
 (1/2) D**(a/2-1) is the factorization constant generalizing the 1/2 of
 the ordinary oscillator.
 
 ``fourier_remainder`` gives the k-space image of the forward remainder as
-a first-order operator in d/dk with complex symbol coefficients; see its
-docstring for the sign/scaling conventions it fixes.
+a first-order operator in d/dk with complex symbol coefficients, each
+part an exact monomial sum; ``FourierRemainder`` states the sign and
+scaling conventions it fixes.
 """
 
 from __future__ import annotations
@@ -156,13 +159,8 @@ def remainder_forward_closed(gamma, delta) -> OpExpr:
 
 
 def remainder_reverted_closed(delta, gamma) -> OpExpr:
-    """Closed form (d/2) D**(d/2-1) + x (D**(d/2) - D**(g/2))."""
-    g, d = _as_fraction(gamma), _as_fraction(delta)
-    return (
-        OpExpr.word(d / 2, 0, d / 2 - 1)
-        + OpExpr.word(1, 1, d / 2)
-        - OpExpr.word(1, 1, g / 2)
-    )
+    """Closed form (d/2) D**(d/2-1) + x (D**(d/2) - D**(g/2)): the forward one with the orders swapped."""
+    return remainder_forward_closed(delta, gamma)
 
 
 def compose_factorization(delta, gamma) -> tuple[OpExpr, OpExpr]:
@@ -172,9 +170,7 @@ def compose_factorization(delta, gamma) -> tuple[OpExpr, OpExpr]:
     recovered as H - product with a = (d+g)/2, so its closed form is a
     derived result here, not an input.
     """
-    g, d = _as_fraction(gamma), _as_fraction(delta)
-    if g <= 0 or d <= 0:
-        raise ValueError("fractional orders must be positive")
+    g, d = _positive_order(gamma), _positive_order(delta)
     h = oscillator_op((d + g) / 2)
     product = raising_op(g) * lowering_op(d)
     return h, h - product
@@ -182,9 +178,7 @@ def compose_factorization(delta, gamma) -> tuple[OpExpr, OpExpr]:
 
 def reverted_factorization(delta, gamma) -> OpExpr:
     """Remainder of the reverted product: lowering(d)*raising(g) - H."""
-    g, d = _as_fraction(gamma), _as_fraction(delta)
-    if g <= 0 or d <= 0:
-        raise ValueError("fractional orders must be positive")
+    g, d = _positive_order(gamma), _positive_order(delta)
     h = oscillator_op((d + g) / 2)
     return lowering_op(d) * raising_op(g) - h
 
@@ -207,12 +201,6 @@ class ComplexFixed:
     def is_zero(self) -> bool:
         return self.re.is_zero and self.im.is_zero
 
-    def __add__(self, other: ComplexFixed) -> ComplexFixed:
-        return ComplexFixed(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: ComplexFixed) -> ComplexFixed:
-        return ComplexFixed(self.re - other.re, self.im - other.im)
-
     def times_i(self) -> ComplexFixed:
         return ComplexFixed(-self.im, self.re)
 
@@ -221,21 +209,6 @@ class ComplexFixed:
 
     def eval(self, k: float) -> complex:
         return complex(self.re.eval(k), self.im.eval(k))
-
-
-def _symbol_pair(order: Fraction, theta: int) -> ComplexFixed:
-    """|k|**order * exp(i sgn(k) theta pi/2) as an exact pair, integer theta only.
-
-    For integer theta the phase collapses to cos + i sgn sin with
-    cos, sin in {-1, 0, 1}, so the pair stays exact.
-    """
-    cos, sin = half_turn(theta)
-    return ComplexFixed(FixedKExpr.monomial(cos, 0, order), FixedKExpr.monomial(sin, 1, order))
-
-
-def _times_sgn(c: ComplexFixed) -> ComplexFixed:
-    flip = FixedKExpr.monomial(1, 1, 0)
-    return ComplexFixed(c.re * flip, c.im * flip)
 
 
 @dataclass(frozen=True)
@@ -289,23 +262,24 @@ class FourierRemainder:
 
 
 def fourier_remainder(gamma, delta, theta=0) -> FourierRemainder:
-    """Exact k-space forward remainder for integer asymmetry theta."""
-    g, d = _as_fraction(gamma), _as_fraction(delta)
-    if g <= 0 or d <= 0:
-        raise ValueError("fractional orders must be positive")
+    """Exact k-space forward remainder for integer asymmetry theta.
+
+    Then S_q = |k|**q (cos + i sgn sin) with cos, sin in {-1, 0, 1}, so the
+    parts of c0 and c1 are exact sums over (exponent, sgn parity) keys.
+    """
+    g, d = _positive_order(gamma), _positive_order(delta)
     th = _as_fraction(theta)
     if th.denominator != 1:
         raise ValueError("exact k-space coefficients require integer asymmetry")
-    t = int(th)
-    sym_g1 = _symbol_pair(g / 2 - 1, t)
-    sym_d1 = _symbol_pair(d / 2 - 1, t)
-    sym_g = _symbol_pair(g / 2, t)
-    sym_d = _symbol_pair(d / 2, t)
-    c0 = sym_g1.scale(-g / 2) + (
-        _times_sgn(sym_g1).scale(g / 2) - _times_sgn(sym_d1).scale(d / 2)
-    ).times_i()
-    c1 = (sym_g - sym_d).times_i()
-    return FourierRemainder(g, d, t, c0, c1)
+    cos, sin = map(Fraction, half_turn(th))
+    hg, hd = g / 2, d / 2
+    re0, im0, re1, im1 = (FixedKExpr._merge(pairs) for pairs in (
+        [((hg - 1, 0), -hg * (cos + sin)), ((hd - 1, 0), hd * sin)],
+        [((hg - 1, 1), hg * (cos - sin)), ((hd - 1, 1), -hd * cos)],
+        [((hg, 1), -sin), ((hd, 1), sin)],
+        [((hg, 0), cos), ((hd, 0), -cos)],
+    ))
+    return FourierRemainder(g, d, int(th), ComplexFixed(re0, im0), ComplexFixed(re1, im1))
 
 
 __all__ = [

@@ -19,7 +19,7 @@ H_{n+1}' - s' H_n - |k|**a H_n.  So
     lam_n(k) = [ H_{n+1}' - s' H_n + (S_theta(k) - |k|**a) H_n ] / (a H_n)
 
 with S_theta(k) = |k|**a exp(i sgn(k) theta pi/2): one derivative of
-H_{n+1} = ``ladder_next(H_n)`` and no product s**2.  At a = 2, s' = 1 and
+H_{n+1} = ``rf_hermite(n + 1)`` and no product s**2.  At a = 2, s' = 1 and
 H_{n+1}' = 2(n+1) H_n, so the symmetric lam_n is n + 1/2.  The numerator
 and denominator are exact expressions in the signed-power algebra; the
 1/a scaling is carried by the denominator polynomial so everything stays
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .hermite import S_EXPR, RFHermite, ladder_next, rf_hermite
+from .hermite import S_EXPR, RFHermite, rf_hermite
 from .kterms import AlphaPoly, DomainError, FixedKExpr, KExpr, _as_fraction
 
 
@@ -173,12 +173,12 @@ class LocalEigenvalue:
             raise ValueError("stability index must lie in (0, 2]")
 
     def eval(self, k: float) -> complex:
-        d = self.den.eval(self.alpha, k)
+        d = self.den.at_alpha(self.alpha).eval(k)
         if d == 0.0:
             raise ZeroDivisionError(f"local eigenvalue pole at k = {k}")
         return complex(
-            self.re_num.eval(self.alpha, k) / d,
-            self.im_num.eval(self.alpha, k) / d,
+            self.re_num.at_alpha(self.alpha).eval(k) / d,
+            self.im_num.at_alpha(self.alpha).eval(k) / d,
         )
 
 
@@ -204,7 +204,7 @@ def local_eigenvalue(n: int, alpha, theta=0) -> LocalEigenvalue:
     sgn_sym_h = KExpr.monomial(1, 1, 2, 0) * h    # sgn|k|**a H_n
     # -phi_n''/phi0 = H_{n+1}' - s'H_n - |k|**a H_n (module docstring)
     re_num = (
-        ladder_next(rf_hermite(n)).expr.differentiate()
+        rf_hermite(n + 1).expr.differentiate()
         - S_EXPR.differentiate() * h
         + abs_sym_h.scale(cos_half - 1)
     )

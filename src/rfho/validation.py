@@ -36,7 +36,6 @@ from .hermite import (
     extract_p_coefficients,
     ladder_next,
     rf_hermite,
-    rodrigues_family,
     standard_reduction,
 )
 from .hyper import closed_form_psi0, closed_form_term_values, closed_form_values, gaussian_values
@@ -94,8 +93,10 @@ def _default_family(n_max: int = N_MAX) -> list[KExpr]:
 
 def crit_ladder_rodrigues(family: Sequence[KExpr] | None = None) -> CriterionResult:
     exprs = list(family) if family is not None else _default_family()
-    weights = rodrigues_family(len(exprs) - 1) if exprs else []
-    for n, (expr, h) in enumerate(zip(exprs, weights)):
+    h = RFHermite(0, KExpr.one())
+    for n, expr in enumerate(exprs):
+        if n:
+            h = ladder_next(h)
         if expr != h.expr:
             return _result(
                 "ladder-rodrigues", False,

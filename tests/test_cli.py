@@ -199,6 +199,17 @@ class TestFactorize:
                      "--space", "k", "--theta", "1/2"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        ("--delta 0 --gamma 2", "orders must be positive"),
+        ("--delta 2 --gamma 2 --space k --theta 1/2", "k-space remainders need integer --theta"),
+        ("--delta 1 --gamma 2 --theta 1", "--theta applies to k-space remainders only; add --space k"),
+    ])
+    def test_usage_errors(self, capsys, argv, message):
+        assert main(["factorize", *argv.split()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rfho factorize: {message}\n"
+
     def test_json_format(self, capsys):
         code, out = run(capsys, "factorize", "--delta", "2", "--gamma", "2",
                         "--format", "json")
@@ -254,6 +265,18 @@ class TestPlumbing:
         # ladder step from the transcribed third member
         ("validate --format json",
          "14332469e74b29b7648d44fc89b9ae2a69c16e18186f25c1ad3dae315678b0e6"),
+        # factorize pinned before the k-space remainder was rebuilt from its
+        # monomial sums; an x-space --theta of 0 changes nothing
+        ("factorize --delta 1 --gamma 2",
+         "1fffc98d66c4a66833ce16f796b7bcc2989d1ed8c63e6dcb074198c2f6ed5292"),
+        ("factorize --delta 1 --gamma 2 --theta 0",
+         "1fffc98d66c4a66833ce16f796b7bcc2989d1ed8c63e6dcb074198c2f6ed5292"),
+        ("factorize --delta 3/2 --gamma 1/2 --format json",
+         "19bf129140a4d8838cca24fc8028df1581bd38c485c0b71613530355a97a51e6"),
+        ("factorize --delta 4/3 --gamma 1/3 --space k --theta=-1 --format json",
+         "c94577d0457ea8545a970ee48677053025877d1d7030669df3f86928d2b06ee5"),
+        ("factorize --delta 2 --gamma 5/2 --space k --theta=2",
+         "325832d260659338dfb1d09477a28921ea6183d02dc753323b42adee0f44ffb1"),
     ])
     def test_pinned_bytes(self, capsys, argv, digest):
         code, out = run(capsys, *argv.split())

@@ -16,7 +16,6 @@ from rfho.hermite import (
     ladder_next,
     rf_hermite,
     rodrigues,
-    rodrigues_family,
     standard_reduction,
 )
 from rfho.kterms import AlphaPoly, KExpr
@@ -47,10 +46,10 @@ def _assert_leading_term(h):
 
 def test_ladder_equals_rodrigues():
     # up to the largest size the benchmark proves
-    for h in rodrigues_family(40):
-        assert rf_hermite(h.n).expr == h.expr
+    for n in range(41):
+        h = rodrigues(n)
+        assert h.n == n and rf_hermite(n).expr == h.expr
         _assert_leading_term(h)
-    assert rodrigues(40).expr == rf_hermite(40).expr
 
 
 def test_lattice_build_equals_one_ladder_step():
@@ -62,19 +61,9 @@ def test_lattice_build_equals_one_ladder_step():
 def test_non_integer_index_refused():
     rf_hermite(2)
     for n in (2.5, 2.0, -1):
-        for build in (rf_hermite, rodrigues, rodrigues_family):
+        for build in (rf_hermite, rodrigues):
             with pytest.raises(ValueError, match="index must be a nonnegative integer"):
                 build(n)
-
-
-def test_rodrigues_family_is_one_pass_of_members():
-    family = rodrigues_family(10)
-    assert [h.n for h in family] == list(range(11))
-    assert [h.expr for h in family] == [rf_hermite(n).expr for n in range(11)]
-    assert rodrigues(10) == family[-1]
-    assert rodrigues_family(0) == [RFHermite(0, KExpr.one())]
-    with pytest.raises(ValueError):
-        rodrigues_family(-1)
 
 
 def test_ladder_next_increments_index():

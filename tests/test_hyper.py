@@ -62,6 +62,18 @@ def test_gaussian_identity_spot():
         assert gaussian_values([x])[0] == pytest.approx(math.exp(-x * x / 2), abs=5e-14)
 
 
+def test_gaussian_values_where_the_series_cancel():
+    # the two confluent parts agree to x^2/2 log10(e) digits; combined in
+    # floats they left -6.9e-18 at x = 40.  x*x/2 is exact at these x, so
+    # math.exp is correctly rounded to within an ulp or so
+    xs = [10.0, 20.0, 30.0, 38.0, 40.0, 50.0, 60.0]
+    for x, got in zip(xs, gaussian_values(xs)):
+        want = math.exp(-x * x / 2)
+        assert got >= 0.0
+        if want >= 1e-300:
+            assert abs(got - want) <= 1e-15 * want
+
+
 @given(st.floats(min_value=0.0, max_value=2.0))
 @settings(max_examples=25, deadline=None)
 def test_pfq_matches_mpmath_hyper(x):

@@ -129,7 +129,12 @@ def test_reverted_remainder_closed_form():
     assert got == want
 
 
-@pytest.mark.parametrize("d,g", [(F(1), F(2)), (F(3, 2), F(1)), (F(2), F(2))])
+_PAIRS = [(F(1), F(2)), (F(3, 2), F(1)), (F(2), F(2))]
+# every ordered pair of the orders the benchmark draws from
+_ORDERS = [F(v) for v in ("1/3", "1/2", "1", "4/3", "3/2", "2", "5/2")]
+
+
+@pytest.mark.parametrize("d,g", _PAIRS + [(d, g) for d in _ORDERS for g in _ORDERS if (d, g) not in _PAIRS])
 def test_composed_remainders_match_closed_forms(d, g):
     h, fwd = compose_factorization(d, g)
     assert h == oscillator_op((d + g) / 2)
