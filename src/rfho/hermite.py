@@ -59,13 +59,18 @@ class RFHermite:
 
 
 def ladder_next(h: RFHermite) -> RFHermite:
-    """One raising step: H_{n+1} = 2 sgn|k|**(a/2) H_n - H_n', both parts' pairs merged once."""
-    pairs = LADDER_FACTOR._product_pairs(h.expr) + h.expr._derivative_pairs(-1)
-    return RFHermite(h.n + 1, KExpr._merge(pairs))
+    """One raising step: H_{n+1} = 2 sgn|k|**(a/2) H_n - H_n'.
+
+    Both parts are built as unreduced triples and ``KExpr._reduce`` merges
+    them, reducing each coefficient of H_{n+1} once.
+    """
+    triples = LADDER_FACTOR._product_triples(h.expr) + h.expr._derivative_triples(-1)
+    return RFHermite(h.n + 1, KExpr._reduce(triples))
 
 
 def _check_index(n: int) -> None:
-    if not isinstance(n, int) or n < 0:
+    # bool is an int subclass: True would build H_1 as a second cache entry
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("index must be a nonnegative integer")
 
 

@@ -19,8 +19,11 @@ sums therefore have equal term tuples, so ``==`` and ``hash`` act on
 values.  The rule lives once, in ``_TermSum``; construct through the
 named constructors and the operators to keep it.
 
-Sums, differences, products and ``at_alpha`` merge (``_TermSum._merge``);
-``KExpr.differentiate`` only re-sorts and ``scale`` keeps the keys.
+Sums, differences and ``at_alpha`` merge reduced coefficients
+(``_TermSum._merge``) and ``scale`` keeps the keys.  ``KExpr`` products,
+``KExpr.differentiate`` and the ladder step (``hermite.ladder_next``) build
+unreduced (key, numerators, denominator) triples instead and reduce each
+output coefficient once, in ``KExpr._reduce``.
 
 ``c(a)`` is stored as integer numerators over one positive common
 denominator, ``AlphaPoly(num, den)``, reduced so that gcd(den, *num) == 1
@@ -48,7 +51,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from itertools import zip_longest
+from typing import Iterable, Sequence
 
 
 class DomainError(ValueError):
@@ -73,6 +77,29 @@ def _signed_join(parts: list[str]) -> str:
     for p in parts[1:]:
         out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
     return out
+
+
+def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Numerators of the product of two nonzero numerator tuples, unreduced."""
+    if len(b) == 1 or len(a) == 1:  # a constant scales the other's numerators
+        (k,), num = (b, a) if len(b) == 1 else (a, b)
+        return [c * k for c in num]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
+def _combine(
+    an: Sequence[int], ad: int, bn: Sequence[int], bd: int, sign: int = 1
+) -> tuple[list[int], int]:
+    """an/ad + sign * bn/bd over a common denominator, unreduced."""
+    g = math.gcd(ad, bd)
+    sa, sb = bd // g, sign * ad // g
+    return [x * sa + y * sb for x, y in zip_longest(an, bn, fillvalue=0)], ad * sa
 
 
 def _poly(num: list[int], den: int) -> AlphaPoly:
@@ -136,12 +163,7 @@ class AlphaPoly:
 
     def _plus(self, other: AlphaPoly, sign: int) -> AlphaPoly:
         """self + sign * other over a common denominator, normalised once."""
-        g = math.gcd(self.den, other.den)
-        sa, sb = other.den // g, sign * self.den // g
-        out = [c * sa for c in self.num] + [0] * (len(other.num) - len(self.num))
-        for i, c in enumerate(other.num):
-            out[i] += c * sb
-        return _poly(out, self.den * sa)
+        return _poly(*_combine(self.num, self.den, other.num, other.den, sign))
 
     def __add__(self, other: AlphaPoly) -> AlphaPoly:
         return self._plus(other, 1)
@@ -155,27 +177,11 @@ class AlphaPoly:
     def __mul__(self, other: AlphaPoly) -> AlphaPoly:
         if not self.num or not other.num:
             return _ZERO
-        if len(other.num) == 1 or len(self.num) == 1:  # a constant scales the other's numerators
-            (b,), num = (other.num, self.num) if len(other.num) == 1 else (self.num, other.num)
-            return _poly([c * b for c in num], self.den * other.den)
-        out = [0] * (len(self.num) + len(other.num) - 1)
-        for i, a in enumerate(self.num):
-            if not a:
-                continue
-            for j, b in enumerate(other.num, i):
-                out[j] += a * b
-        return _poly(out, self.den * other.den)
+        return _poly(_convolve(self.num, other.num), self.den * other.den)
 
     def scale(self, factor) -> AlphaPoly:
         f = _as_fraction(factor)
         return _poly([c * f.numerator for c in self.num], self.den * f.denominator)
-
-    def _times_exponent(self, j: int, m: int) -> AlphaPoly:
-        """self * (j*a/2 + m) in one pass: numerators 2m*num[i] + j*num[i-1] over 2*den."""
-        out = [2 * m * c for c in self.num] + [0]
-        for i, c in enumerate(self.num, 1):
-            out[i] += j * c
-        return _poly(out, 2 * self.den)
 
     def eval(self, alpha: Fraction) -> Fraction:
         """Exact value at ``alpha``: integer Horner on its numerator and denominator."""
@@ -339,30 +345,52 @@ class KExpr(_TermSum):
     def monomial(coeff, sgn_parity: int, j: int, m: int) -> KExpr:
         return KExpr._single(KTerm(_as_poly(coeff), sgn_parity, FracExponent(j, m)))
 
-    def _product_pairs(self, other: KExpr) -> list[tuple]:
+    @staticmethod
+    def _reduce(triples: Iterable[tuple]) -> KExpr:
+        """The canonical sum of unreduced (key, numerators, denominator) triples.
+
+        Triples with equal keys are brought to a common denominator; each
+        key's coefficient is then reduced once, zeros are dropped and the
+        keys sorted descending.
+        """
+        acc: dict = {}
+        for key, num, den in triples:
+            prev = acc.get(key)
+            acc[key] = (num, den) if prev is None else _combine(*prev, num, den)
+        terms = []
+        for key in sorted(acc, reverse=True):
+            coeff = _poly(*acc[key])
+            if coeff:
+                terms.append(KExpr._term(key, coeff))
+        return KExpr(tuple(terms))
+
+    def _product_triples(self, other: KExpr) -> list[tuple]:
+        """The triples of self * other: numerators convolved, denominators multiplied."""
         right = other._pairs()
         return [
-            ((j + oj, m + om, (p + op) % 2), c * oc)
+            ((j + oj, m + om, (p + op) % 2), _convolve(c.num, oc.num), c.den * oc.den)
             for (j, m, p), c in self._pairs()
             for (oj, om, op), oc in right
         ]
 
-    def _derivative_pairs(self, sign: int = 1) -> list[tuple]:
-        """The pairs of sign * d/dk: each coefficient times its exponent j*a/2 + m."""
-        return [
-            ((j, m - 1, 1 - p), c._times_exponent(sign * j, sign * m))
-            for (j, m, p), c in self._pairs()
-            if j or m
-        ]
+    def _derivative_triples(self, sign: int = 1) -> list[tuple]:
+        """The triples of sign * d/dk: each coefficient times its exponent j*a/2 + m.
+
+        c(a) * (j*a/2 + m) has numerators 2m*num[i] + j*num[i-1] over 2*den.
+        """
+        out = []
+        for (j, m, p), c in self._pairs():
+            if j or m:
+                up, same = sign * j, 2 * sign * m  # factors of num[i - 1] and num[i]
+                num = [same * x + up * y for x, y in zip((*c.num, 0), (0, *c.num))]
+                out.append(((j, m - 1, 1 - p), num, 2 * c.den))
+        return out
 
     def __mul__(self, other: KExpr) -> KExpr:
-        return KExpr._merge(self._product_pairs(other))
+        return KExpr._reduce(self._product_triples(other))
 
     def differentiate(self) -> KExpr:
-        # (j, m, p) -> (j, m - 1, 1 - p) is injective: nothing merges and the sort
-        # never compares coefficients; the parity flip can swap keys with equal (j, m)
-        pairs = sorted(self._derivative_pairs(), reverse=True)
-        return KExpr(tuple(KExpr._term(key, c) for key, c in pairs))
+        return KExpr._reduce(self._derivative_triples())
 
     def at_alpha(self, alpha) -> FixedKExpr:
         """Substitute the stability index; numerically coincident exponents merge."""

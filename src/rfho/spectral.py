@@ -75,6 +75,11 @@ def symbol_eval(order, asymmetry, k: float) -> complex:
     return complex(mag * cos, mag * sin if kf > 0 else -mag * sin)
 
 
+def _check_alpha(alpha: Fraction) -> None:
+    if not (0 < alpha <= 2):
+        raise ValueError("stability index must lie in (0, 2]")
+
+
 @dataclass(frozen=True)
 class KState:
     """Fourier-space eigenstate phi_n = i**n H_n(k) phi0(k)."""
@@ -84,8 +89,7 @@ class KState:
     hermite: RFHermite
 
     def __post_init__(self) -> None:
-        if not (0 < self.alpha <= 2):
-            raise ValueError("stability index must lie in (0, 2]")
+        _check_alpha(self.alpha)
         if self.hermite.n != self.n:
             raise ValueError("hermite index does not match state index")
         if any(t.sgn_parity != self.n % 2 for t in self.hermite.expr.terms):
@@ -169,8 +173,7 @@ class LocalEigenvalue:
     den: KExpr
 
     def __post_init__(self) -> None:
-        if not (0 < self.alpha <= 2):
-            raise ValueError("stability index must lie in (0, 2]")
+        _check_alpha(self.alpha)
 
     def eval(self, k: float) -> complex:
         d = self.den.at_alpha(self.alpha).eval(k)
@@ -191,6 +194,7 @@ def local_eigenvalue(n: int, alpha, theta=0) -> LocalEigenvalue:
     ``sample_local_eigenvalue`` for other rational values.
     """
     a = _as_fraction(alpha)
+    _check_alpha(a)  # before H_n and H_{n+1} are built
     th = _as_fraction(theta)
     if th.denominator != 1:
         raise ValueError(

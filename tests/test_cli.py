@@ -137,6 +137,15 @@ class TestEigenvalue:
         _, data = rows(out)
         assert [r[0] for r in data] == [-1.0, 1.0]
 
+    def test_large_k_limit(self, capsys):
+        # lam_n(k) -> (n + 1/2)|k|^(a/2 - 1): 2.5 * (1e155)^(-1/4) at n = 2, a = 3/2
+        code, out = run(capsys, "eigenvalue", "--n", "2", "--alpha", "3/2",
+                        "--grid=1e155:2e155:2")
+        assert code == 0
+        assert out.splitlines()[1] == "1e+155,4.4456985250973071e-39,0"
+        _, data = rows(out)
+        assert data[0][1] == pytest.approx(2.5 * 1e155 ** -0.25, rel=1e-15, abs=0)
+
     def test_symmetric_keeps_signed_zeros(self, capsys):
         code, out = run(capsys, "eigenvalue", "--n", "1", "--alpha", "1",
                         "--grid=-1:1:3")
@@ -282,6 +291,33 @@ class TestPlumbing:
         code, out = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sha256 over the reprs of the exact objects themselves, pinned before
+    # products, derivatives and the ladder step began to reduce each
+    # coefficient once; any change to a term, its order or a coefficient's
+    # reduced form shows here
+    @pytest.mark.parametrize("family,digest", [
+        ("rodrigues", "418e3a3f5570f8bc9cd12441810cba46627dda6abcab18837340251532949292"),
+        ("ladder_next", "5bed0f8dde5464e044badb66eca76a0cd649fef8edf221fa27a7259baea4c1ae"),
+        ("local_eigenvalue", "66e8a26297afca889fa6902a00b3522ad2a61060c95259cc668d0091a80ac06d"),
+    ])
+    def test_pinned_exact_objects(self, family, digest):
+        from rfho.hermite import ladder_next, rf_hermite, rodrigues
+        from rfho.spectral import local_eigenvalue
+
+        alphas = ("1/5", "1/2", "2/3", "1", "5/4", "3/2", "7/4", "2")
+        objects = {
+            "rodrigues": lambda: (rodrigues(n) for n in range(41)),
+            "ladder_next": lambda: (ladder_next(rf_hermite(n)) for n in range(31)),
+            "local_eigenvalue": lambda: (
+                local_eigenvalue(n, a, theta)
+                for n in range(21) for a in alphas for theta in (-1, 0, 1, 2, 3)
+            ),
+        }[family]()
+        h = hashlib.sha256()
+        for obj in objects:
+            h.update(repr(obj).encode())
+        assert h.hexdigest() == digest
 
     def test_csv_roundtrip_precision(self, capsys):
         _, out = run(capsys, "state", "--n", "0", "--alpha", "3/2", "--grid", "0:3:7")

@@ -19,6 +19,7 @@ from rfho.hermite import (
     standard_reduction,
 )
 from rfho.kterms import AlphaPoly, KExpr
+from rfho.spectral import local_eigenvalue
 
 
 def test_member_zero_is_one():
@@ -60,8 +61,9 @@ def test_lattice_build_equals_one_ladder_step():
 
 def test_non_integer_index_refused():
     rf_hermite(2)
-    for n in (2.5, 2.0, -1):
-        for build in (rf_hermite, rodrigues):
+    # bool is an int subclass: True must not build H_1 as a second cache entry
+    for n in (2.5, 2.0, -1, True, False):
+        for build in (rf_hermite, rodrigues, lambda n: local_eigenvalue(n, 1)):
             with pytest.raises(ValueError, match="index must be a nonnegative integer"):
                 build(n)
 

@@ -170,9 +170,28 @@ class TestEigenvalues:
             local_eigenvalue(2, F(1), 0).eval(0.0)
 
     def test_index_outside_range_refused(self):
-        for alpha in (F(3), F(0), F(-1, 2)):
+        # refused before H_n and H_{n+1} are built
+        before = rf_hermite.cache_info()
+        for alpha in (F(3), F(0), F(-1, 2), "5/2"):
             with pytest.raises(ValueError, match="stability index must lie in"):
-                local_eigenvalue(2, alpha)
+                local_eigenvalue(57, alpha)
+        assert rf_hermite.cache_info() == before
+
+    def test_large_k_limit(self):
+        # the leading terms give lam_n(k) -> (n + 1/2)|k|^(a/2 - 1) as |k| -> oo:
+        # 2^(n-1)(2n+1) a |k|^((n+1)a/2 - 1) over 2^n a |k|^(n a/2)
+        for n in range(21):
+            lam = local_eigenvalue(n, F(3, 2))
+            top, bottom = lam.re_num.terms[0], lam.den.terms[0]
+            assert top.coeff == AlphaPoly.of(0, F(2) ** (n - 1) * (2 * n + 1))
+            assert (top.exponent.j, top.exponent.m, top.sgn_parity) == (n + 1, -1, n % 2)
+            assert bottom.coeff == AlphaPoly.of(0, 2 ** n)
+            assert (bottom.exponent.j, bottom.exponent.m, bottom.sgn_parity) == (n, 0, n % 2)
+            for a in map(F, ("1/5", "1/2", "2/3", "1", "5/4", "3/2", "7/4", "2")):
+                top, bottom = lam.re_num.at_alpha(a).terms[0], lam.den.at_alpha(a).terms[0]
+                assert (top.coeff, top.exponent, top.sgn_parity) == (
+                    F(2) ** (n - 1) * (2 * n + 1) * a, (n + 1) * a / 2 - 1, n % 2)
+                assert (bottom.coeff, bottom.exponent, bottom.sgn_parity) == (2 ** n * a, n * a / 2, n % 2)
 
     def test_integer_asymmetry_required(self):
         with pytest.raises(ValueError):
