@@ -127,7 +127,7 @@ class AlphaPoly:
     gcd(den, *num) == 1; the zero polynomial is ``((), 1)``.  Equal
     polynomials therefore have equal fields, so ``==`` and ``hash`` act on
     values.  The arithmetic runs on Python ints with one gcd normalisation
-    per result.  Construct through ``of``/``const`` (or the operators) to
+    per result.  Construct through ``of`` (or the operators) to
     maintain the form; ``coeffs`` gives the exact rational coefficients.
     """
 
@@ -139,10 +139,6 @@ class AlphaPoly:
         fs = [_as_fraction(v) for v in values]
         den = math.lcm(*(f.denominator for f in fs))
         return _poly([f.numerator * (den // f.denominator) for f in fs], den)
-
-    @staticmethod
-    def const(value) -> AlphaPoly:
-        return AlphaPoly.of(value)
 
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -318,7 +314,7 @@ class _TermSum:
 
 
 def _as_poly(value) -> AlphaPoly:
-    return value if isinstance(value, AlphaPoly) else AlphaPoly.const(value)
+    return value if isinstance(value, AlphaPoly) else AlphaPoly.of(value)
 
 
 @dataclass(frozen=True)

@@ -201,9 +201,6 @@ class ComplexFixed:
     def is_zero(self) -> bool:
         return self.re.is_zero and self.im.is_zero
 
-    def times_i(self) -> ComplexFixed:
-        return ComplexFixed(-self.im, self.re)
-
     def scale(self, factor) -> ComplexFixed:
         return ComplexFixed(self.re.scale(factor), self.im.scale(factor))
 
@@ -251,14 +248,9 @@ class FourierRemainder:
         """
         amp = state.amplitude()
         deriv = amp.differentiate() - FixedKExpr.monomial(1, 1, state.alpha / 2) * amp
-        out = ComplexFixed(
-            self.c0.re * amp + self.c1.re * deriv,
-            self.c0.im * amp + self.c1.im * deriv,
-        )
-        return out.times_i() if state.n % 2 else out
-
-    def eval_applied(self, state: KState, k: float) -> complex:
-        return self.apply(state).eval(k) * state.ground_value(k)
+        re = self.c0.re * amp + self.c1.re * deriv
+        im = self.c0.im * amp + self.c1.im * deriv
+        return ComplexFixed(-im, re) if state.n % 2 else ComplexFixed(re, im)
 
 
 def fourier_remainder(gamma, delta, theta=0) -> FourierRemainder:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .hermite import S_EXPR, RFHermite, rf_hermite
+from .hermite import S_EXPR, _check_index, rf_hermite
 from .kterms import AlphaPoly, DomainError, FixedKExpr, KExpr, _as_fraction
 
 
@@ -82,18 +82,18 @@ def _check_alpha(alpha: Fraction) -> None:
 
 @dataclass(frozen=True)
 class KState:
-    """Fourier-space eigenstate phi_n = i**n H_n(k) phi0(k)."""
+    """Eigenstate phi_n = i**n H_n(k) phi0(k) in k space, fixed by n and alpha.
+
+    alpha is checked, then n; only then is ``hermite`` set to ``rf_hermite(n)``.
+    """
 
     n: int
     alpha: Fraction
-    hermite: RFHermite
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if self.hermite.n != self.n:
-            raise ValueError("hermite index does not match state index")
-        if any(t.sgn_parity != self.n % 2 for t in self.hermite.expr.terms):
-            raise ValueError("every hermite term must carry sgn parity n mod 2")
+        _check_index(self.n)
+        object.__setattr__(self, "hermite", rf_hermite(self.n))
 
     @property
     def ground_exponent(self) -> Fraction:
@@ -121,11 +121,11 @@ class KState:
 
 
 def ground_state(alpha) -> KState:
-    return KState(0, _as_fraction(alpha), rf_hermite(0))
+    return KState(0, _as_fraction(alpha))
 
 
 def excited_state(n: int, alpha) -> KState:
-    return KState(n, _as_fraction(alpha), rf_hermite(n))
+    return KState(n, _as_fraction(alpha))
 
 
 def ground_kernel_residual() -> KExpr:
@@ -148,13 +148,12 @@ def kernel_residual_at(alpha, k: float) -> complex:
     kf = float(k)
     if kf == 0.0:
         raise DomainError("the complex-step derivative needs k != 0")
-    a = _as_fraction(alpha)
-    g = ground_state(a).ground_value(kf)
-    e = float(a / 2 + 1)
+    state = ground_state(alpha)
+    e = float(state.ground_exponent)
     h = 1e-20
     z = complex(abs(kf), h if kf > 0 else -h)  # sgn(k) (k + ih): |k|**e continued
     dphi = cmath.exp(-(z**e) / e).imag / h
-    return symbol_eval(a / 2, 1, kf) * g + 1j * dphi
+    return symbol_eval(state.alpha / 2, 1, kf) * state.ground_value(kf) + 1j * dphi
 
 
 @dataclass(frozen=True)
@@ -179,10 +178,9 @@ class LocalEigenvalue:
         d = self.den.at_alpha(self.alpha).eval(k)
         if d == 0.0:
             raise ZeroDivisionError(f"local eigenvalue pole at k = {k}")
-        return complex(
-            self.re_num.at_alpha(self.alpha).eval(k) / d,
-            self.im_num.at_alpha(self.alpha).eval(k) / d,
-        )
+        re = self.re_num.at_alpha(self.alpha).eval(k)
+        im = self.im_num.at_alpha(self.alpha).eval(k)
+        return complex(re / d, im / d if im else 0.0)  # a literal 0: 0 / d is -0 for d < 0
 
 
 def local_eigenvalue(n: int, alpha, theta=0) -> LocalEigenvalue:
@@ -244,7 +242,7 @@ def sample_local_eigenvalue(
     is how theta enters the multiplication symbol.  Singular points are
     left out, as in ``sample_regular``; returns (kept points, values).
     The phase comes from ``half_turn``; where it is 1 nothing is added,
-    so signed zeros survive.
+    so the values are those of ``LocalEigenvalue.eval``.
     """
     a = float(_as_fraction(alpha))
     cos, sin = half_turn(theta)
@@ -265,7 +263,6 @@ def sample_local_eigenvalue(
 __all__ = [
     "KState",
     "LocalEigenvalue",
-    "S_EXPR",
     "excited_state",
     "ground_kernel_residual",
     "ground_state",

@@ -6,10 +6,10 @@ value psi0(0) = 2 * integral of exp(-(2/3) k^(3/2)) equals the closed-form
 table's leading coefficient 2^(1/3) 3^(2/3) Gamma(5/3); the 1/(2pi) and
 1/sqrt(2pi) conventions miss that anchor by their respective factors.
 
-Every term of H_n carries sgn(k)**(n mod 2), and ``KState`` refuses an
-expression with a term of the other parity.  So phi_n = i**(n mod 2) A phi0
-with one real amplitude A (``KState.amplitude``), phi_n(-k) = (-1)^n phi_n(k),
-and the two-sided integral folds onto k > 0:
+Every term of H_n = ``rf_hermite(n)`` carries sgn(k)**(n mod 2) (the
+``parity-reality`` check).  So phi_n = i**(n mod 2) A phi0 with one real
+amplitude A (``KState.amplitude``), phi_n(-k) = (-1)^n phi_n(k), and the
+two-sided integral folds onto k > 0:
 
     even n:  psi = 2 * int_0^inf phi(k) cos(kx) dk  =  2 * int_0^inf A phi0 cos(kx) dk
     odd  n:  psi = 2i * int_0^inf phi(k) sin(kx) dk = -2 * int_0^inf A phi0 sin(kx) dk
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .kterms import FixedKExpr, _as_fraction
+from .kterms import FixedKExpr
 from .spectral import KState, ground_state
 
 if TYPE_CHECKING:
@@ -109,11 +109,10 @@ class Grid:
                 raise ValueError("points must be strictly increasing")
 
 
-def _cutoff(alpha) -> int:
-    """Smallest integer K >= 25 with exp(-K**e / e) < 1e-16, e = alpha/2 + 1."""
-    e = float(_as_fraction(alpha) / 2 + 1)
+def _cutoff(state: KState) -> int:
+    """Smallest integer K >= 25 at which the state's phi0(K) is below 1e-16."""
     k = _MIN_CUTOFF
-    while math.exp(-(k**e) / e) >= _TAIL_LIMIT:
+    while state.ground_value(k) >= _TAIL_LIMIT:
         k += 1
     return k
 
@@ -259,6 +258,8 @@ def _x_array(xs: Sequence[float]) -> np.ndarray:
     x_arr = np.asarray([float(x) for x in xs], dtype=float)
     if x_arr.size and not np.all(np.isfinite(x_arr)):
         raise ValueError("sample points must be finite")
+    if not np.all(x_arr[:-1] < x_arr[1:]):
+        raise ValueError("points must be strictly increasing")
     return x_arr
 
 
@@ -266,7 +267,7 @@ def _transform(states: Sequence[KState], x_arr: np.ndarray, panel_count: int) ->
     """psi of each state, all of one parity, in one kernel pass; one row per state."""
     if panel_count < 1:
         raise ValueError("panel count must be positive")
-    cutoff = max(_cutoff(s.alpha) for s in states)
+    cutoff = max(_cutoff(s) for s in states)
     width = cutoff / panel_count
     x_far = float(abs(x_arr).max()) if x_arr.size else 0.0
     if x_far * width > _REACH:
@@ -287,9 +288,9 @@ def inverse_fourier(
     """Transform a k-space state to the x axis; returns a real-valued Grid.
 
     ``panel_count`` panels cover [0, K]; doubling it halves each panel.
-    Raises ValueError for a count below 1, and QuadratureError when some
-    |x| lies beyond the rule's reach (|x| * panel width > 8), or the state
-    is not integrable at k = 0 or overflows there.
+    Raises ValueError for unordered or non-finite points or a count below 1,
+    and QuadratureError when some |x| lies beyond the rule's reach (|x| *
+    panel width > 8), or the state is not integrable at k = 0 or overflows there.
     """
     x_arr = _x_array(xs)
     [psi] = _transform([state], x_arr, panel_count)
@@ -298,9 +299,8 @@ def inverse_fourier(
 
 
 def nongaussianity_k(alpha, ks: Sequence[float]) -> Grid:
-    """1 - exp(k**2/2 - |k|**e / e) on the given k grid; identically 0 at index 2."""
-    a = _as_fraction(alpha)
-    e = float(a / 2 + 1)
+    """1 - phi0_alpha(k) / phi0_2(k) on a k grid: 0 at index 2, ValueError outside (0, 2]."""
+    e = float(ground_state(alpha).ground_exponent)
     pts = tuple(float(k) for k in ks)
     values = tuple(
         complex(1.0 - math.exp(k * k / 2 - abs(k) ** e / e), 0.0) for k in pts
@@ -315,9 +315,8 @@ def nongaussianity_x(alpha, xs: Sequence[float]) -> Grid:
     nodes.  Points where |psi0_2| falls below 1e-12 of its peak are
     reported as nan (the ratio is numerically meaningless in the deep tail).
     """
-    a = _as_fraction(alpha)
     x_arr = _x_array(xs)
-    numer, denom = _transform([ground_state(a), ground_state(2)], x_arr, PANEL_COUNT)
+    numer, denom = _transform([ground_state(alpha), ground_state(2)], x_arr, PANEL_COUNT)
     peak = float(abs(denom).max()) if denom.size else 0.0
     out = []
     for num, den in zip(numer, denom):

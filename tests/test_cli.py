@@ -146,11 +146,12 @@ class TestEigenvalue:
         _, data = rows(out)
         assert data[0][1] == pytest.approx(2.5 * 1e155 ** -0.25, rel=1e-15, abs=0)
 
-    def test_symmetric_keeps_signed_zeros(self, capsys):
+    def test_symmetric_writes_a_literal_zero(self, capsys):
+        # the zero imaginary numerator over a negative denominator is 0, not -0
         code, out = run(capsys, "eigenvalue", "--n", "1", "--alpha", "1",
                         "--grid=-1:1:3")
         assert code == 0
-        assert out.splitlines()[1] == "-1,1.75,-0"
+        assert out.splitlines()[1] == "-1,1.75,0"
 
 
 class TestNonGauss:
@@ -286,6 +287,20 @@ class TestPlumbing:
          "c94577d0457ea8545a970ee48677053025877d1d7030669df3f86928d2b06ee5"),
         ("factorize --delta 2 --gamma 5/2 --space k --theta=2",
          "325832d260659338dfb1d09477a28921ea6183d02dc753323b42adee0f44ffb1"),
+        # k-space grids in json and csv and the hermite table at an index,
+        # pinned before KState began to build H_n from (n, alpha) alone
+        ("state --n 5 --alpha 2/3 --grid=-3:3:41 --format json",
+         "1a3be253bff42e0f1a1ada2c01e985a50befdfcb637a12e25cc279aff2a09d98"),
+        ("state --n 4 --alpha 3/2 --grid=-2:2:9",
+         "0a4c8817f25733b4d4af7d3efb8b23054cb03aaa9445ed238ebad2e08b42663c"),
+        ("nongauss --alpha 1/2 --grid=-4:4:17 --format json",
+         "c0d24616d76f467c7cb9d324a90b30aa1cda7e3f9599dc4e7605583fe0a28dbf"),
+        ("hermite --n 12 --alpha 2/3 --format csv",
+         "439cfc193648180efb69732ea7c8a8cd41431b8934b8f0f9b3586b5bc5fd195f"),
+        # pinned once the symmetric eigenvalue's zero imaginary part at
+        # negative k printed 0 rather than -0
+        ("eigenvalue --n 1 --alpha 3/2 --grid=-2:2:5",
+         "06fb03549760fe4013ff494de974207e2d171c81e9a61e36c4caf08146a01d57"),
     ])
     def test_pinned_bytes(self, capsys, argv, digest):
         code, out = run(capsys, *argv.split())

@@ -42,7 +42,7 @@ def test_first_three_members():
 def _assert_leading_term(h):
     p = extract_p_coefficients(h)
     assert len(p) == max(h.n, 1)
-    assert p[0] == AlphaPoly.const(2**h.n)
+    assert p[0] == AlphaPoly.of(2**h.n)
 
 
 def test_ladder_equals_rodrigues():

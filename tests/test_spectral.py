@@ -1,11 +1,12 @@
 """States and local eigenvalues in k space."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
 
-from rfho.hermite import RFHermite, rf_hermite
+from rfho.hermite import rf_hermite
 from rfho.kterms import AlphaPoly, DomainError, KExpr
 from rfho.spectral import (
     KState,
@@ -78,19 +79,27 @@ class TestStates:
                 assert v == pytest.approx(1j**n * h.eval(k) * st.ground_value(k), rel=1e-15)
                 assert math.copysign(1.0, v.real if n % 2 else v.imag) == 1.0
 
-    def test_wrong_parity_term_refused(self):
-        # a term of the other sgn parity would make psi_n complex, not real
-        with pytest.raises(ValueError, match="parity"):
-            KState(1, F(1), RFHermite(1, KExpr.one()))
-        mixed = rf_hermite(2).expr + KExpr.monomial(1, 1, 0, 0)
-        with pytest.raises(ValueError, match="parity"):
-            KState(2, F(1), RFHermite(2, mixed))
-
     def test_index_range(self):
         with pytest.raises(ValueError):
             ground_state(F(5, 2))
         with pytest.raises(ValueError):
             ground_state(0)
+
+    def test_built_from_index_and_level(self):
+        assert [f.name for f in fields(KState)] == ["n", "alpha"]
+        assert excited_state(3, F(3, 2)).hermite is rf_hermite(3)
+
+    def test_index_checked_before_any_hermite_build(self):
+        before = rf_hermite.cache_info()
+        for build in (lambda: excited_state(57, 0), lambda: KState(57, F(0))):
+            with pytest.raises(ValueError, match="stability index"):
+                build()
+        assert rf_hermite.cache_info() == before
+
+    def test_level_checked(self):
+        for n in (-1, True):
+            with pytest.raises(ValueError, match="index must be a nonnegative integer"):
+                KState(n, F(1))
 
 
 class TestKernel:
@@ -128,6 +137,13 @@ class TestEigenvalues:
     def test_lambda0_values(self):
         lam = local_eigenvalue(0, F(1), 0)
         assert lam.eval(4.0) == pytest.approx(0.25)
+
+    def test_symmetric_imaginary_part_is_a_literal_zero(self):
+        # the zero numerator over a negative denominator gives 0, not -0
+        lam = local_eigenvalue(1, F(3, 2))
+        assert lam.den.at_alpha(F(3, 2)).eval(-1.0) < 0
+        v = lam.eval(-1.0)
+        assert v == 1.625 and math.copysign(1.0, v.imag) == 1.0
 
     def test_index2_is_classical(self):
         for n in range(4):

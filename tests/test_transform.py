@@ -84,7 +84,7 @@ class TestCutoff:
                        (F(1, 10**9), 37)]
     )
     def test_pinned_values(self, alpha, want):
-        assert transform._cutoff(alpha) == want
+        assert transform._cutoff(ground_state(alpha)) == want
         e = float(alpha / 2 + 1)
         assert math.exp(-(want**e) / e) < 1e-16
         if want > 25:
@@ -126,9 +126,17 @@ class TestGuards:
         grid = inverse_fourier(excited_state(4, F(2)), [0.0])
         assert grid.values[0].real == pytest.approx(12 * SQRT_2PI, rel=1e-10)
 
-    def test_unsorted_points_rejected(self):
-        with pytest.raises(ValueError):
-            inverse_fourier(ground_state(F(2)), [1.0, 0.0])
+    def test_unsorted_points_rejected(self, monkeypatch):
+        # refused before the kernel pass, not by Grid after it
+        def no_kernel(*args):
+            raise AssertionError("the kernel ran on an unordered grid")
+
+        monkeypatch.setattr(transform, "_fourier_sums", no_kernel)
+        for xs in ([1.0, 0.0], [0.0, 0.0], [-1.0, 2.0, 1.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                inverse_fourier(excited_state(1, F(3, 2)), xs)
+            with pytest.raises(ValueError, match="strictly increasing"):
+                nongaussianity_x(F(1, 2), xs)
 
     def test_grid_type_invariants(self):
         with pytest.raises(ValueError):
@@ -152,6 +160,11 @@ class TestNonGaussianity:
         assert abs(nongaussianity_k(F(1), [star]).values[0]) < 1e-14
         assert nongaussianity_k(F(1), [star - 0.1]).values[0].real > 0
         assert nongaussianity_k(F(1), [star + 0.1]).values[0].real < 0
+
+    @pytest.mark.parametrize("alpha", [0, 5, -2, F(7, 3)])
+    def test_index_outside_range_refused(self, alpha):
+        with pytest.raises(ValueError, match="stability index"):
+            nongaussianity_k(alpha, [1.0])
 
     def test_x_space_positive_near_origin(self):
         grid = nongaussianity_x(F(1), [0.0])
