@@ -4,11 +4,15 @@ remainder-operator dumps, non-Gaussianity curves, and the verification suite.
 Exit codes: 0 success, 1 computation or verification failure, 2 usage error
 or an --out path that cannot be written.
 Rationals are passed as "p/q" strings so exactness survives the boundary.
+``_write`` is the one format path of the exact outputs (hermite, factorize,
+validate); the grid commands build only the format asked for (``_emit_grid``).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -16,7 +20,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .hermite import rf_hermite
-from .kterms import FixedKExpr
 from .operators import (
     fourier_remainder,
     remainder_forward_closed,
@@ -103,39 +106,29 @@ def _emit_grid(grid: Grid, args: argparse.Namespace) -> None:
     _emit(text, args.out)
 
 
-def _fixed_terms_obj(expr: FixedKExpr) -> list[dict]:
-    return [
-        {"coeff": str(t.coeff), "sgn": t.sgn_parity, "exponent": str(t.exponent)}
-        for t in expr.terms
-    ]
+def _write(args: argparse.Namespace, obj, lines) -> None:
+    """Write ``obj`` as indented JSON under --format json, else the text ``lines``."""
+    text = json.dumps(obj, indent=2) if args.format == "json" else "\n".join(lines)
+    _emit(text + "\n", args.out)
+
+
+def _csv_row(n: int, term: dict) -> str:
+    cells = (";".join(v) if isinstance(v, list) else str(v) for v in term.values())
+    return ",".join((str(n), *cells))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_hermite(args: argparse.Namespace) -> int:
-    members = []
-    for m in range(args.n + 1):
-        expr = rf_hermite(m).expr
-        if args.alpha is None:
-            members.append({"n": m, "terms": expr.to_json_obj()})
-        else:
-            members.append({"n": m, "terms": _fixed_terms_obj(expr.at_alpha(args.alpha))})
-    if args.format == "csv":
-        if args.alpha is None:
-            lines = ["n,coeff,sgn,j,m"]
-            for row in members:
-                for t in row["terms"]:
-                    coeff = ";".join(t["coeff"])
-                    lines.append(f"{row['n']},{coeff},{t['sgn']},{t['j']},{t['m']}")
-        else:
-            lines = ["n,coeff,sgn,exponent"]
-            for row in members:
-                for t in row["terms"]:
-                    lines.append(f"{row['n']},{t['coeff']},{t['sgn']},{t['exponent']}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json.dumps(members, indent=2) + "\n", args.out)
+    exprs = [rf_hermite(m).expr for m in range(args.n + 1)]
+    if args.alpha is not None:
+        exprs = [e.at_alpha(args.alpha) for e in exprs]
+    members = [{"n": m, "terms": e.to_json_obj()} for m, e in enumerate(exprs)]
+    # one row per term, the term's JSON keys as columns; H_0 = 1 has one term
+    header = ",".join(("n", *members[0]["terms"][0]))
+    rows = (_csv_row(row["n"], t) for row in members for t in row["terms"])
+    _write(args, members, itertools.chain((header,), rows))
     return 0
 
 
@@ -169,53 +162,38 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     d, g = args.delta, args.gamma
     if args.space == "k":
         fr = fourier_remainder(g, d, int(args.theta))
-        if args.format == "json":
-            obj = {
-                "gamma": str(g),
-                "delta": str(d),
-                "theta": int(args.theta),
-                "c0": {"re": _fixed_terms_obj(fr.c0.re), "im": _fixed_terms_obj(fr.c0.im)},
-                "c1": {"re": _fixed_terms_obj(fr.c1.re), "im": _fixed_terms_obj(fr.c1.im)},
-            }
-            _emit(json.dumps(obj, indent=2) + "\n", args.out)
-        else:
-            text = (
-                f"multiplier c0: ({fr.c0.re}) + i*({fr.c0.im})\n"
-                f"derivative multiplier c1: ({fr.c1.re}) + i*({fr.c1.im})\n"
-            )
-            _emit(text, args.out)
-        return 0
-    fwd = remainder_forward_closed(g, d)
-    rev = remainder_reverted_closed(d, g)
-    lines = [f"forward remainder: {fwd}", f"reverted remainder: {rev}"]
-    obj = {"forward": fwd.to_json_obj(), "reverted": rev.to_json_obj()}
-    if d == g:
-        scaled = scaled_remainder(d)
-        lines.append(f"scaled remainder: {scaled}")
-        obj["scaled"] = scaled.to_json_obj()
-    if args.format == "json":
-        _emit(json.dumps(obj, indent=2) + "\n", args.out)
+        obj = {
+            "gamma": str(g),
+            "delta": str(d),
+            "theta": int(args.theta),
+            "c0": {"re": fr.c0.re.to_json_obj(), "im": fr.c0.im.to_json_obj()},
+            "c1": {"re": fr.c1.re.to_json_obj(), "im": fr.c1.im.to_json_obj()},
+        }
+        lines = [
+            f"multiplier c0: ({fr.c0.re}) + i*({fr.c0.im})",
+            f"derivative multiplier c1: ({fr.c1.re}) + i*({fr.c1.im})",
+        ]
     else:
-        _emit("\n".join(lines) + "\n", args.out)
+        fwd = remainder_forward_closed(g, d)
+        rev = remainder_reverted_closed(d, g)
+        lines = [f"forward remainder: {fwd}", f"reverted remainder: {rev}"]
+        obj = {"forward": fwd.to_json_obj(), "reverted": rev.to_json_obj()}
+        if d == g:
+            scaled = scaled_remainder(d)
+            lines.append(f"scaled remainder: {scaled}")
+            obj["scaled"] = scaled.to_json_obj()
+    _write(args, obj, lines)
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     results = run_all()
-    failed = any(r.kind == "primary" and not r.passed for r in results)
-    if args.format == "json":
-        obj = [
-            {"name": r.name, "kind": r.kind, "passed": r.passed, "detail": r.detail}
-            for r in results
-        ]
-        _emit(json.dumps(obj, indent=2) + "\n", args.out)
-    else:
-        lines = []
-        for r in results:
-            tag = "INFO" if r.kind == "info" else ("PASS" if r.passed else "FAIL")
-            lines.append(f"{tag} {r.name}: {r.detail}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 1 if failed else 0
+    lines = (
+        f"{'INFO' if r.kind == 'info' else ('PASS' if r.passed else 'FAIL')} {r.name}: {r.detail}"
+        for r in results
+    )
+    _write(args, [dataclasses.asdict(r) for r in results], lines)
+    return 1 if any(r.kind == "primary" and not r.passed for r in results) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hermite", help="emit the exact polynomial table")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--alpha", type=_rational, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="json")
-    sp.set_defaults(func=cmd_hermite)
+    common(sp, grid=False)
+    sp.set_defaults(func=cmd_hermite, format="json")
 
     sp = sub.add_parser("state", help="sample a stationary state on a grid")
     sp.add_argument("--n", type=int, required=True)

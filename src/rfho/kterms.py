@@ -484,6 +484,12 @@ class FixedKExpr(_TermSum):
             return None
         return min(t.exponent for t in self.terms)
 
+    def to_json_obj(self) -> list[dict]:
+        return [
+            {"coeff": str(t.coeff), "sgn": t.sgn_parity, "exponent": str(t.exponent)}
+            for t in self.terms
+        ]
+
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .hermite import S_EXPR, _check_index, rf_hermite
-from .kterms import AlphaPoly, DomainError, FixedKExpr, KExpr, _as_fraction
+from .kterms import ALPHA, DomainError, FixedKExpr, KExpr, _as_fraction
 
 
 def half_turn(theta) -> tuple[float, float]:
@@ -115,8 +115,8 @@ class KState:
         return -h if self.n % 4 >= 2 else h
 
     def eval(self, k: float) -> complex:
-        v = self.amplitude().eval(k) * self.ground_value(k)
-        # literal zeros: a product such as 0 * v is -0 for negative v
+        # + 0.0 and a literal zero part: a product such as 0 * v is -0 for v < 0
+        v = self.amplitude().eval(k) * self.ground_value(k) + 0.0
         return complex(0.0, v) if self.n % 2 else complex(v, 0.0)
 
 
@@ -202,17 +202,12 @@ def local_eigenvalue(n: int, alpha, theta=0) -> LocalEigenvalue:
     cos_half, sin_half = half_turn(th)
 
     h = rf_hermite(n).expr
-    abs_sym_h = KExpr.monomial(1, 0, 2, 0) * h    # |k|**a H_n
-    sgn_sym_h = KExpr.monomial(1, 1, 2, 0) * h    # sgn|k|**a H_n
-    # -phi_n''/phi0 = H_{n+1}' - s'H_n - |k|**a H_n (module docstring)
-    re_num = (
-        rf_hermite(n + 1).expr.differentiate()
-        - S_EXPR.differentiate() * h
-        + abs_sym_h.scale(cos_half - 1)
-    )
-    im_num = sgn_sym_h.scale(sin_half)
-    den = h.scale(AlphaPoly.of(0, 1))
-    return LocalEigenvalue(n, a, th, re_num, im_num, den)
+    # -phi_n''/phi0 = H_{n+1}' - s'H_n - |k|**a H_n (module docstring), plus S_theta H_n
+    re_num = rf_hermite(n + 1).expr.differentiate() + (
+        KExpr.monomial(cos_half - 1, 0, 2, 0) - S_EXPR.differentiate()
+    ) * h
+    im_num = KExpr.monomial(sin_half, 1, 2, 0) * h
+    return LocalEigenvalue(n, a, th, re_num, im_num, h.scale(ALPHA))
 
 
 def sample_regular(f, ks: Sequence[float]) -> tuple[list[float], list]:

@@ -8,9 +8,12 @@ are informational by design and are checked to stay that way.
 from dataclasses import replace
 from fractions import Fraction as F
 
+import pytest
+
 from rfho import validation as v
 from rfho.hermite import LADDER_FACTOR, rf_hermite
-from rfho.kterms import KExpr
+from rfho.kterms import AlphaPoly, KExpr
+from rfho.transform import Grid
 
 
 def _report(result):
@@ -30,8 +33,43 @@ def test_criterion_printed_family_match():
     _report(v.crit_printed_family())
 
 
+@pytest.mark.parametrize("name, fault, message", [
+    ("_printed_h123", lambda printed: lambda: [h.scale(2) for h in printed()],
+     "member 1 differs from the transcribed form"),
+    ("_printed_h4", lambda printed: lambda: printed() + KExpr.one(),
+     "member 4 differs from the transcribed form beyond the documented coefficient"),
+    # still differs from the recurrence value only in the one documented term
+    ("H4_COEFF_PRINTED", lambda coeff: AlphaPoly.of(0, -7, 7),
+     "the two member-4 variants disagree at index 2"),
+])
+def test_criterion_printed_family_fails_a_changed_transcription(monkeypatch, name, fault, message):
+    monkeypatch.setattr(v, name, fault(getattr(v, name)))
+    result = v.crit_printed_family()
+    assert result.passed is False
+    assert message in result.detail
+
+
 def test_criterion_eigenvalues():
     _report(v.crit_eigenvalues())
+
+
+@pytest.mark.parametrize("theta, doubled_at, message", [
+    (1, None, "symmetric eigenvalue 0 has an imaginary part"),
+    (0, F(1), "eigenvalue 0 differs from the transcribed form"),
+    (0, F(2), "index-2 eigenvalue 0 is not 0 + 1/2"),
+])
+def test_criterion_eigenvalues_fails_a_wrong_eigenvalue(monkeypatch, theta, doubled_at, message):
+    # the skewed form in place of the symmetric one, or a doubled numerator at one index
+    original = v.local_eigenvalue
+
+    def faulty(n, alpha, _theta):
+        lam = original(n, alpha, theta)
+        return replace(lam, re_num=lam.re_num.scale(2)) if alpha == doubled_at else lam
+
+    monkeypatch.setattr(v, "local_eigenvalue", faulty)
+    result = v.crit_eigenvalues()
+    assert result.passed is False
+    assert message in result.detail
 
 
 def test_criterion_kernel_check():
@@ -49,8 +87,41 @@ def test_criterion_kernel_fails_on_conjugate_phase(monkeypatch):
     assert not result.passed, result.detail
 
 
+def test_criterion_kernel_fails_a_symbolic_residue(monkeypatch):
+    monkeypatch.setattr(v, "ground_kernel_residual", KExpr.one)
+    result = v.crit_kernel()
+    assert result.passed is False
+    assert "symbolic lowering residue is not identically zero" in result.detail
+
+
 def test_criterion_factorization_identities():
     _report(v.crit_factorization())
+
+
+def _doubled(build):
+    return lambda *args: build(*args).scale(2)
+
+
+def _doubled_at_equal_order_1(compose):
+    def broken(d, g):
+        product, fwd = compose(d, g)
+        return product, fwd.scale(2) if d == g == 1 else fwd
+
+    return broken
+
+
+@pytest.mark.parametrize("name, fault, message", [
+    ("scaled_remainder", _doubled, "scaled remainder at order 1 is not (1/2)D^(a/2-1)"),
+    ("oscillator_op", _doubled, "product-plus-remainder identity fails at order 1"),
+    ("remainder_forward_closed", _doubled, "forward remainder at (d,g)=(1,2) off closed form"),
+    ("remainder_reverted_closed", _doubled, "reverted remainder at (d,g)=(1,2) off closed form"),
+    ("compose_factorization", _doubled_at_equal_order_1, "equal-order remainders do not collapse at 1"),
+])
+def test_criterion_factorization_fails_a_doubled_operator(monkeypatch, name, fault, message):
+    monkeypatch.setattr(v, name, fault(getattr(v, name)))
+    result = v.crit_factorization()
+    assert result.passed is False
+    assert message in result.detail
 
 
 def test_criterion_gaussian_hypergeometric_identity():
@@ -69,6 +140,21 @@ def test_criterion_gaussian_identity_fails_a_wrong_sign(monkeypatch):
 
 def test_criterion_transform_calibration():
     _report(v.crit_calibration())
+
+
+def _changed_values(grid: Grid, change) -> Grid:
+    return Grid(grid.axis_label, grid.points, tuple(change(z) for z in grid.values))
+
+
+def test_criterion_calibration_fails_a_scaled_transform(monkeypatch):
+    original = v.inverse_fourier
+    monkeypatch.setattr(
+        v, "inverse_fourier",
+        lambda *args: _changed_values(original(*args), lambda z: z * (1 + 1e-8)),
+    )
+    result = v.crit_calibration()
+    assert result.passed is False
+    assert "relative error 1.00e-08 (limit 1e-10)" in result.detail
 
 
 def test_criterion_closed_form_index1_crosscheck():
@@ -119,6 +205,25 @@ def test_criterion_parity_reality():
 
 def test_criterion_nongaussianity():
     _report(v.crit_nongaussianity())
+
+
+@pytest.mark.parametrize("name, at, change, message", [
+    ("nongaussianity_k", F(2), lambda z: z + 1e-300, "k-space measure at index 2 is not exactly zero"),
+    ("nongaussianity_x", F(2), lambda z: z + 1e-300, "x-space measure at index 2 is not exactly zero"),
+    ("nongaussianity_k", F(1), lambda z: -z, "index-1 k-space measure not positive below the crossing"),
+    ("nongaussianity_k", F(3, 2), lambda z: -z, "index ordering 1 > 3/2 > 2 fails on (0, 1]"),
+])
+def test_criterion_nongaussianity_fails_a_changed_measure(monkeypatch, name, at, change, message):
+    original = getattr(v, name)
+
+    def faulty(alpha, points):
+        grid = original(alpha, points)
+        return _changed_values(grid, change) if alpha == at else grid
+
+    monkeypatch.setattr(v, name, faulty)
+    result = v.crit_nongaussianity()
+    assert result.passed is False
+    assert message in result.detail
 
 
 def test_informational_entries_present_and_not_failures():

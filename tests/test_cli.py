@@ -49,6 +49,12 @@ class TestHermite:
         assert code == 0
         assert out.splitlines()[0] == "n,coeff,sgn,j,m"
 
+    def test_help_describes_out(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hermite", "--help"])
+        assert exc.value.code == 0
+        assert "write output to this path" in capsys.readouterr().out
+
     def test_n_cap(self, capsys):
         code, _ = run(capsys, "hermite", "--n", "21")
         assert code == 2
@@ -78,6 +84,18 @@ class TestState:
         assert all(line.split(",")[1] == "0" for line in lines)
         last = lines[-1].split(",")
         assert float(last[2]) == pytest.approx(2 * math.exp(-0.5), abs=1e-15)
+
+    def test_underflowed_ground_writes_no_negative_zero(self, capsys):
+        # the negative amplitude times phi0 = 0 would be -0
+        code, out = run(capsys, "state", "--n", "1", "--alpha", "1", "--grid=-1e200:1e200:3")
+        assert code == 0
+        assert out.splitlines()[1] == "-9.9999999999999997e+199,0,0"
+        assert "-0\n" not in out and "-0," not in out
+        code, out = run(capsys, "state", "--n", "2", "--alpha", "2", "--grid=-50:50:3",
+                        "--format", "json")
+        assert code == 0
+        assert json.loads(out)["re"] == [0.0, 2.0, 0.0]
+        assert "-0.0" not in out
 
     def test_singular_origin_row_omitted(self, capsys):
         code, out = run(capsys, "state", "--n", "2", "--alpha", "1", "--grid", "-1:1:5")

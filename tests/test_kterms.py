@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfho.hermite import LADDER_FACTOR, RFHermite, ladder_next
+from rfho.hermite import LADDER_FACTOR, RFHermite, ladder_next, rf_hermite
 from rfho.kterms import (
     ALPHA,
     AlphaPoly,
@@ -16,6 +16,7 @@ from rfho.kterms import (
     FixedKExpr,
     FracExponent,
     KExpr,
+    KTerm,
 )
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -111,6 +112,10 @@ class TestAlphaPoly:
         assert (p + q).eval(a) == p.eval(a) + q.eval(a)
         assert (p - q).eval(a) == p.eval(a) - q.eval(a)
 
+    def test_inexact_coefficient_refused(self):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            AlphaPoly.of(1.5)
+
     def test_alpha_constant(self):
         assert ALPHA.eval(F(3, 2)) == F(3, 2)
 
@@ -185,6 +190,18 @@ class TestKExpr:
         fixed = e.at_alpha(F(2))
         assert len(fixed.terms) == 1
         assert fixed.terms[0].coeff == 2
+
+    def test_sgn_parity_outside_0_1_refused(self):
+        with pytest.raises(ValueError, match="sgn parity must be 0 or 1"):
+            KTerm(AlphaPoly.of(1), 2, FracExponent(1, 0))
+
+    def test_str(self):
+        assert str(rf_hermite(2).expr) == "4*|k|^(2a/2) + -a*|k|^(a/2-1)"
+        assert str(rf_hermite(3).expr) == (
+            "8*sgn(k)*|k|^(3a/2) + -6*a*sgn(k)*|k|^(2a/2-1) + (-a + 1/2*a^2)*sgn(k)*|k|^(a/2-2)"
+        )
+        assert str(KExpr.monomial(2, 1, 0, 0)) == "2*sgn(k)*1"
+        assert str(KExpr.zero()) == "0"
 
     def test_sgn_squares_away(self):
         m = KExpr.monomial(1, 1, 1, 0)
@@ -377,6 +394,12 @@ class TestFixedKExpr:
         e = FixedKExpr.monomial(1, 0, F(2)) + FixedKExpr.monomial(1, 0, F(-1, 2))
         assert e.min_exponent == F(-1, 2)
         assert FixedKExpr.zero().min_exponent is None
+
+    def test_json_fields(self):
+        assert rf_hermite(2).expr.at_alpha(F(1)).to_json_obj() == [
+            {"coeff": "4", "sgn": 0, "exponent": "1"},
+            {"coeff": "-1", "sgn": 0, "exponent": "-1/2"},
+        ]
 
     def test_merge_on_exponent_and_parity(self):
         a = FixedKExpr.monomial(1, 0, F(1))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rfho.operators import (
     OpExpr,
+    OpWord,
     compose_factorization,
     fourier_remainder,
     lowering_op,
@@ -165,6 +166,11 @@ def test_factorization_identity_scaled():
     for a in (F(1), F(3, 2), F(2)):
         product = (raising_op(a) * lowering_op(a)).scale(F(1, 1) / a)
         assert product + scaled_remainder(a) == oscillator_op(a).scale(F(1, 1) / a)
+
+
+def test_negative_x_power_refused():
+    with pytest.raises(ValueError, match="x power must be nonnegative"):
+        OpWord(F(1), -1, F(0))
 
 
 def test_positive_orders_required():

@@ -79,6 +79,13 @@ class TestStates:
                 assert v == pytest.approx(1j**n * h.eval(k) * st.ground_value(k), rel=1e-15)
                 assert math.copysign(1.0, v.real if n % 2 else v.imag) == 1.0
 
+    def test_underflowed_ground_gives_positive_zero(self):
+        # H_1 < 0 at k < 0 and phi0(-1e200) underflows to 0.0
+        v = excited_state(1, 1).eval(-1e200)
+        assert v == 0
+        assert math.copysign(1, v.imag) == 1
+        assert math.copysign(1, excited_state(2, 2).eval(-50.0).real) == 1
+
     def test_index_range(self):
         with pytest.raises(ValueError):
             ground_state(F(5, 2))

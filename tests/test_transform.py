@@ -38,6 +38,10 @@ PSI0_INDEX32 = {
 }
 
 
+def _no_kernel(*args):
+    raise AssertionError("the kernel ran on a refused grid")
+
+
 class TestGaussianBaseline:
     def test_ground_index2_is_gaussian(self):
         xs = [0.0, 0.5, 1.0, 2.0]
@@ -128,14 +132,19 @@ class TestGuards:
 
     def test_unsorted_points_rejected(self, monkeypatch):
         # refused before the kernel pass, not by Grid after it
-        def no_kernel(*args):
-            raise AssertionError("the kernel ran on an unordered grid")
-
-        monkeypatch.setattr(transform, "_fourier_sums", no_kernel)
+        monkeypatch.setattr(transform, "_fourier_sums", _no_kernel)
         for xs in ([1.0, 0.0], [0.0, 0.0], [-1.0, 2.0, 1.0]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 inverse_fourier(excited_state(1, F(3, 2)), xs)
             with pytest.raises(ValueError, match="strictly increasing"):
+                nongaussianity_x(F(1, 2), xs)
+
+    def test_nonfinite_points_rejected(self, monkeypatch):
+        monkeypatch.setattr(transform, "_fourier_sums", _no_kernel)
+        for xs in ([0.0, math.nan], [math.inf]):
+            with pytest.raises(ValueError, match="sample points must be finite"):
+                inverse_fourier(excited_state(1, F(3, 2)), xs)
+            with pytest.raises(ValueError, match="sample points must be finite"):
                 nongaussianity_x(F(1, 2), xs)
 
     def test_grid_type_invariants(self):
@@ -143,6 +152,8 @@ class TestGuards:
             Grid("t", (0.0, 1.0), (0j, 0j))
         with pytest.raises(ValueError):
             Grid("x", (0.0, 1.0), (0j,))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Grid("x", (1.0, 0.0), (0j, 0j))
 
 
 class TestNonGaussianity:
