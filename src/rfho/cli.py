@@ -4,8 +4,8 @@ remainder-operator dumps, non-Gaussianity curves, and the verification suite.
 Exit codes: 0 success, 1 computation or verification failure, 2 usage error
 or an --out path that cannot be written.
 Rationals are passed as "p/q" strings so exactness survives the boundary.
-``_write`` is the one format path of the exact outputs (hermite, factorize,
-validate); the grid commands build only the format asked for (``_emit_grid``).
+``_write`` is the one format path of all six subcommands and the one writer
+to --out or stdout; the grid commands reach it through ``_write_grid``.
 """
 
 from __future__ import annotations
@@ -26,14 +26,8 @@ from .operators import (
     remainder_reverted_closed,
     scaled_remainder,
 )
-from .spectral import excited_state, sample_local_eigenvalue, sample_regular
-from .transform import (
-    Grid,
-    QuadratureError,
-    inverse_fourier,
-    nongaussianity_k,
-    nongaussianity_x,
-)
+from .spectral import Grid, excited_state, sample_local_eigenvalue, sample_regular
+from .transform import QuadratureError, inverse_fourier, nongaussianity_k, nongaussianity_x
 from .validation import run_all
 
 #: largest --n any subcommand accepts
@@ -73,43 +67,33 @@ def _grid(text: str) -> list[float]:
     return points
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _grid_csv(grid: Grid) -> str:
-    lines = [f"{grid.axis_label},re,im"]
-    for p, v in zip(grid.points, grid.values):
-        lines.append(f"{_fmt(p)},{_fmt(v.real)},{_fmt(v.imag)}")
-    return "\n".join(lines) + "\n"
+def _write(args: argparse.Namespace, obj, lines) -> None:
+    """Write ``obj`` as indented JSON under --format json, else the text ``lines``.
+
+    The bytes go to the --out path when one is given, else to stdout.
+    """
+    text = (json.dumps(obj, indent=2) if args.format == "json" else "\n".join(lines)) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
-def _grid_json(grid: Grid) -> str:
+def _write_grid(args: argparse.Namespace, grid: Grid) -> int:
+    """Write a sample as columns (JSON) or as rows under ``<axis>,re,im`` (CSV); exit code 0."""
     obj = {
         "axis": grid.axis_label,
         "points": list(grid.points),
         "re": [v.real for v in grid.values],
         "im": [v.imag for v in grid.values],
     }
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _emit_grid(grid: Grid, args: argparse.Namespace) -> None:
-    text = _grid_json(grid) if args.format == "json" else _grid_csv(grid)
-    _emit(text, args.out)
-
-
-def _write(args: argparse.Namespace, obj, lines) -> None:
-    """Write ``obj`` as indented JSON under --format json, else the text ``lines``."""
-    text = json.dumps(obj, indent=2) if args.format == "json" else "\n".join(lines)
-    _emit(text + "\n", args.out)
+    rows = (f"{_fmt(p)},{_fmt(v.real)},{_fmt(v.imag)}" for p, v in zip(grid.points, grid.values))
+    _write(args, obj, itertools.chain((f"{grid.axis_label},re,im",), rows))
+    return 0
 
 
 def _csv_row(n: int, term: dict) -> str:
@@ -135,27 +119,17 @@ def cmd_hermite(args: argparse.Namespace) -> int:
 def cmd_state(args: argparse.Namespace) -> int:
     state = excited_state(args.n, args.alpha)
     if args.space == "x":
-        grid = inverse_fourier(state, args.grid)
-    else:
-        pts, vals = sample_regular(state.eval, args.grid)
-        grid = Grid("k", tuple(pts), tuple(vals))
-    _emit_grid(grid, args)
-    return 0
+        return _write_grid(args, inverse_fourier(state, args.grid))
+    return _write_grid(args, sample_regular(state.eval, args.grid))
 
 
 def cmd_eigenvalue(args: argparse.Namespace) -> int:
-    pts, vals = sample_local_eigenvalue(args.n, args.alpha, args.theta, args.grid)
-    _emit_grid(Grid("k", tuple(pts), tuple(vals)), args)
-    return 0
+    return _write_grid(args, sample_local_eigenvalue(args.n, args.alpha, args.theta, args.grid))
 
 
 def cmd_nongauss(args: argparse.Namespace) -> int:
-    if args.space == "x":
-        grid = nongaussianity_x(args.alpha, args.grid)
-    else:
-        grid = nongaussianity_k(args.alpha, args.grid)
-    _emit_grid(grid, args)
-    return 0
+    sample = nongaussianity_x if args.space == "x" else nongaussianity_k
+    return _write_grid(args, sample(args.alpha, args.grid))
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:

@@ -12,7 +12,7 @@ symbol; whether every printed coefficient is correct is checked elsewhere
 moment-series oracle and itemizes mismatches rather than correcting
 them).
 
-Series are summed to dps (default 40) working digits: the index-3/2
+Series are summed to 40 working digits (``_DPS``): the index-3/2
 table mixes large Gamma values with tiny rational prefactors, and the
 series themselves alternate, so double precision would shed digits to
 cancellation.  Public entry points return floats, except ``pfq_mp``.
@@ -20,7 +20,7 @@ cancellation.  Public entry points return floats, except ``pfq_mp``.
 Every series is summed in fixed point (Brent & Zimmermann, *Modern
 Computer Arithmetic*, 2010, sec. 4.4) by one loop, ``_sum_series``:
 terms and partial sum are Python ints scaled by 2**wp, wp = prec + 32
-guard bits, prec the binary precision of dps digits (the truncation of
+guard bits, prec the binary precision of those digits (the truncation of
 up to 10,000 steps, under 2**14 units of the last place, stays in the
 guard bits).  The argument is exact: z = scale * x**power is formed from
 x's integer ratio (a float's, or an mpf's mantissa and exponent),
@@ -44,8 +44,8 @@ more than all but 20 of the working digits (index 1 beyond x of about
 ``closed_form_values`` evaluates a table over a whole x grid: each a_{2m}
 becomes an exact binary fraction once per call, each a x**(2m) f is
 added exactly in integers, and each point is rounded to float once.
-Each table row holds its a_{2m} as an mpmath expression; the values are
-cached per (table, precision), and no series value is.
+Each table row holds its a_{2m} as an mpmath expression; the values,
+read at 50 digits, are cached per table, and no series value is.
 
 mpmath is imported on first use, inside the functions that need it, so
 the exact subcommands start without it.
@@ -73,6 +73,7 @@ class UnsupportedAlpha(ValueError):
     """No closed-form table exists for this stability index."""
 
 
+_DPS = 40             # working digits of every series; each a_{2m} is read at _DPS + 10
 _TERM_CAP = 10_000
 _SPARE_DIGITS = 20    # fewer digits than this left after cancellation: re-sum
 _GUARD_DIGITS = 10    # extra digits of the re-sum beyond those lost
@@ -312,8 +313,8 @@ def _pfq_fixed(spec: PFQSpec, x: tuple[int, int], dps: int) -> int:
     return (total + (1 << (extra - 1))) >> extra
 
 
-def pfq_mp(spec: PFQSpec, x, dps: int = 40) -> mp.mpf:
-    """One series at x, summed in fixed point (see the module docstring); an mpf rounded to dps digits.
+def pfq_mp(spec: PFQSpec, x) -> mp.mpf:
+    """One series at x, summed in fixed point (see the module docstring); an mpf rounded to 40 digits.
 
     ValueError for a non-finite x, or |z| >= 1 when p = q + 1;
     ConvergenceError where the stopping rule cannot fire within 10,000
@@ -322,8 +323,8 @@ def pfq_mp(spec: PFQSpec, x, dps: int = 40) -> mp.mpf:
     """
     import mpmath as mp
 
-    prec = _prec(dps)
-    total = _pfq_fixed(spec, _ratio(x), dps)
+    prec = _prec(_DPS)
+    total = _pfq_fixed(spec, _ratio(x), _DPS)
     return mp.make_mpf(mp.libmp.from_man_exp(total, -(prec + _GUARD_BITS), prec, mp.libmp.round_nearest))
 
 
@@ -351,16 +352,16 @@ class ClosedFormPsi0:
     alpha: Fraction
     terms: tuple[ClosedFormTerm, ...]
 
-    def a_values(self, dps: int = 50) -> list[mp.mpf]:
-        return list(_a_values(self.terms, dps))
+    def a_values(self) -> list[mp.mpf]:
+        return list(_a_values(self.terms))
 
 
 @lru_cache(maxsize=None)
-def _a_values(terms: tuple[ClosedFormTerm, ...], dps: int) -> tuple[mp.mpf, ...]:
-    """Each term's a at dps digits, cached per (table, dps)."""
+def _a_values(terms: tuple[ClosedFormTerm, ...]) -> tuple[mp.mpf, ...]:
+    """Each term's a at _DPS + 10 digits, cached per table."""
     import mpmath as mp
 
-    with mp.workdps(dps):
+    with mp.workdps(_DPS + 10):
         return tuple(t.a(mp) for t in terms)
 
 
@@ -490,42 +491,42 @@ def closed_form_psi0(alpha) -> ClosedFormPsi0:
     raise UnsupportedAlpha(f"no closed-form table for alpha = {alpha}")
 
 
-def _term_numerators(c: ClosedFormPsi0, xs: Iterable, dps: int) -> Iterator[tuple[list[int], int]]:
+def _term_numerators(c: ClosedFormPsi0, xs: Iterable) -> Iterator[tuple[list[int], int]]:
     """Per x, each a * x**power * f exactly as an int over one shared int denominator.
 
-    Each a (at dps + 10 digits) is an exact binary fraction, read once per
+    Each a (at _DPS + 10 digits) is an exact binary fraction, read once per
     call; f is the fixed-point series value and x**power is exact, so the
     only roundings are those of a and f.
     """
-    ratios = [_ratio(a) for a in c.a_values(dps + 10)]
+    ratios = [_ratio(a) for a in c.a_values()]
     a_den = max(den for _, den in ratios)  # each den is a power of 2
     a_num = [num * (a_den // den) for num, den in ratios]
     top = max(t.power for t in c.terms)
-    one = a_den << (_prec(dps) + _GUARD_BITS)
+    one = a_den << (_prec(_DPS) + _GUARD_BITS)
     for x in xs:
         num, den = r = _ratio(x)
         yield (
             [
-                a * _pfq_fixed(t.f, r, dps) * num**t.power * den ** (top - t.power)
+                a * _pfq_fixed(t.f, r, _DPS) * num**t.power * den ** (top - t.power)
                 for a, t in zip(a_num, c.terms)
             ],
             one * den**top,
         )
 
 
-def closed_form_values(c: ClosedFormPsi0, xs: Iterable, dps: int = 40) -> list[float]:
+def closed_form_values(c: ClosedFormPsi0, xs: Iterable) -> list[float]:
     """sum_m a_{2m} x**(2m) f_{2m}(x) at each x, summed exactly and rounded once to float."""
-    return [_float(sum(nums), den) for nums, den in _term_numerators(c, xs, dps)]
+    return [_float(sum(nums), den) for nums, den in _term_numerators(c, xs)]
 
 
-def eval_closed_form(c: ClosedFormPsi0, x, dps: int = 40) -> float:
+def eval_closed_form(c: ClosedFormPsi0, x) -> float:
     """sum_m a_{2m} x**(2m) f_{2m}(x) at one x (see closed_form_values)."""
-    return closed_form_values(c, [x], dps)[0]
+    return closed_form_values(c, [x])[0]
 
 
-def closed_form_term_values(c: ClosedFormPsi0, x, dps: int = 40) -> list[float]:
+def closed_form_term_values(c: ClosedFormPsi0, x) -> list[float]:
     """Each a * x**power * f value separately (for per-term auditing)."""
-    nums, den = next(_term_numerators(c, [x], dps))
+    nums, den = next(_term_numerators(c, [x]))
     return [_float(v, den) for v in nums]
 
 
@@ -547,7 +548,7 @@ def gaussian_values(xs: Iterable) -> list[float]:
         xf = float(x)
         num, den = r = _ratio(xf)
         # beyond x = 100 both series are refused before summing, whatever dps
-        dps = 40 + math.ceil(min(xf * xf, 1e4) / 2 * math.log10(math.e))
+        dps = _DPS + math.ceil(min(xf * xf, 1e4) / 2 * math.log10(math.e))
         a, b = (_pfq_fixed(spec, r, dps) for spec in (_GAUSS_A, _GAUSS_B))
         den3 = 3 * den * den
         out.append(_float(den3 * a - num * num * b, den3 << (_prec(dps) + _GUARD_BITS)))

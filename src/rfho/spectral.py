@@ -30,6 +30,10 @@ theta*pi/2 to be rational, which restricts theta to integers (0 gives the
 symmetric operator, 1 the fully skewed one).  Arbitrary rational theta is
 supported numerically through ``sample_local_eigenvalue``, which adds the
 same theta term (S_theta - |k|**a) / a to the symmetric eigenvalue.
+
+Every sampler returns a ``Grid``, which lives here: ``sample_regular`` and
+``sample_local_eigenvalue`` on the k axis, the transforms and
+non-Gaussianity curves of :mod:`rfho.transform` on either axis.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .hermite import S_EXPR, _check_index, rf_hermite
-from .kterms import ALPHA, DomainError, FixedKExpr, KExpr, _as_fraction
+from .kterms import ALPHA, AlphaPoly, DomainError, FixedKExpr, KExpr, _as_fraction
 
 
 def half_turn(theta) -> tuple[float, float]:
@@ -78,6 +82,24 @@ def symbol_eval(order, asymmetry, k: float) -> complex:
 def _check_alpha(alpha: Fraction) -> None:
     if not (0 < alpha <= 2):
         raise ValueError("stability index must lie in (0, 2]")
+
+
+@dataclass(frozen=True)
+class Grid:
+    """A sampled axis with complex amplitudes; the symbolic/numeric exchange format."""
+
+    axis_label: str
+    points: tuple[float, ...]
+    values: tuple[complex, ...]
+
+    def __post_init__(self) -> None:
+        if self.axis_label not in ("k", "x"):
+            raise ValueError("axis label must be 'k' or 'x'")
+        if len(self.points) != len(self.values):
+            raise ValueError("points and values lengths differ")
+        for a, b in zip(self.points, self.points[1:]):
+            if not a < b:
+                raise ValueError("points must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -129,14 +151,15 @@ def excited_state(n: int, alpha) -> KState:
 
 
 def ground_kernel_residual() -> KExpr:
-    """Symbolic lowering residue on the ground state, exactly zero.
+    """Symbolic lowering residue on the ground state, times e = a/2 + 1; exactly zero.
 
     Applying (half-order unit-asymmetry symbol) + i d/dk to phi0 and
-    stripping i*phi0 leaves sgn|k|**(a/2) + (log phi0)', which cancels
-    term by term in the exact algebra.
+    stripping i*phi0 leaves s + (log phi0)'.  With log phi0 = -|k|**e / e
+    that is s - (d/dk |k|**e) / e, so e s - d/dk |k|**e is returned: the
+    derivative is taken by the exact algebra from phi0's exponent.
     """
-    dlog_phi0 = KExpr.monomial(-1, 1, 1, 0)
-    return S_EXPR + dlog_phi0
+    e = AlphaPoly.of(1, Fraction(1, 2))  # phi0's exponent a/2 + 1
+    return S_EXPR.scale(e) - KExpr.monomial(1, 0, 1, 1).differentiate()
 
 
 def kernel_residual_at(alpha, k: float) -> complex:
@@ -210,8 +233,8 @@ def local_eigenvalue(n: int, alpha, theta=0) -> LocalEigenvalue:
     return LocalEigenvalue(n, a, th, re_num, im_num, h.scale(ALPHA))
 
 
-def sample_regular(f, ks: Sequence[float]) -> tuple[list[float], list]:
-    """(kept points, values) of f over ks, leaving out the singular points.
+def sample_regular(f, ks: Sequence[float]) -> Grid:
+    """The k-axis Grid of f over ks, leaving out the singular points.
 
     A point is singular when f raises there: DomainError at the origin
     under a negative power of |k|, ZeroDivisionError at a root of a
@@ -224,18 +247,16 @@ def sample_regular(f, ks: Sequence[float]) -> tuple[list[float], list]:
         except (DomainError, ZeroDivisionError):
             continue
         pts.append(k)
-    return pts, vals
+    return Grid("k", tuple(pts), tuple(vals))
 
 
-def sample_local_eigenvalue(
-    n: int, alpha, theta, ks: Sequence[float]
-) -> tuple[list[float], list[complex]]:
+def sample_local_eigenvalue(n: int, alpha, theta, ks: Sequence[float]) -> Grid:
     """Local eigenvalue at the regular sample points, for any rational asymmetry.
 
     Evaluates the exact symmetric (theta = 0) form and adds the closed
     asymmetry correction (exp(i sgn(k) theta pi/2) - 1) |k|**a / a, which
     is how theta enters the multiplication symbol.  Singular points are
-    left out, as in ``sample_regular``; returns (kept points, values).
+    left out, as in ``sample_regular``; returns their k-axis Grid.
     The phase comes from ``half_turn``; where it is 1 nothing is added,
     so the values are those of ``LocalEigenvalue.eval``.
     """
@@ -256,6 +277,7 @@ def sample_local_eigenvalue(
 
 
 __all__ = [
+    "Grid",
     "KState",
     "LocalEigenvalue",
     "excited_state",

@@ -46,6 +46,9 @@ The cos/sin kernel is never held whole: the sums run over blocks of 128
 x rows, so the transform's working memory is one block of 128 x nodes
 floats (3.3 MB on the default rule), whatever the grid size.
 
+Every result is a ``spectral.Grid`` (imported here, so ``transform.Grid``
+names the same class).
+
 numpy is imported on first use, inside the functions that need it, so
 the exact subcommands start without it.
 """
@@ -58,7 +61,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .kterms import FixedKExpr
-from .spectral import KState, ground_state
+from .spectral import Grid, KState, ground_state
 
 if TYPE_CHECKING:
     import numpy as np
@@ -89,24 +92,6 @@ PANEL_COUNT = 200
 _TS_STEP = 1 / 8
 _TS_FIRST = -48
 _TS_LAST = 28
-
-
-@dataclass(frozen=True)
-class Grid:
-    """A sampled axis with complex amplitudes; the symbolic/numeric exchange format."""
-
-    axis_label: str
-    points: tuple[float, ...]
-    values: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        if self.axis_label not in ("k", "x"):
-            raise ValueError("axis label must be 'k' or 'x'")
-        if len(self.points) != len(self.values):
-            raise ValueError("points and values lengths differ")
-        for a, b in zip(self.points, self.points[1:]):
-            if not a < b:
-                raise ValueError("points must be strictly increasing")
 
 
 def _cutoff(state: KState) -> int:

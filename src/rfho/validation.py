@@ -82,6 +82,8 @@ def _info(name: str, detail: str) -> CriterionResult:
 N_MAX = 12
 
 _TEST_ALPHAS = (F(1), F(3, 2), F(2))
+#: working digits of the moment-series oracles
+_ORACLE_DPS = 60
 
 
 def _default_family(n_max: int = N_MAX) -> list[KExpr]:
@@ -411,7 +413,7 @@ def _series_terms(moments: _Moments, x) -> list:
         j += 1
 
 
-def _moment_blocks(alpha: Fraction, x: float, modulus: int, dps: int = 60) -> list[float]:
+def _moment_blocks(alpha: Fraction, x: float, modulus: int) -> list[float]:
     """Independent oracle: psi0 series moments grouped by residue class.
 
     psi0(x) = 2 sum_j (-1)^j x^(2j)/(2j)! M_{2j} with the ground-state
@@ -421,15 +423,15 @@ def _moment_blocks(alpha: Fraction, x: float, modulus: int, dps: int = 60) -> li
     import mpmath as mp
 
     blocks = [mp.mpf(0)] * modulus
-    with mp.workdps(dps):
+    with mp.workdps(_ORACLE_DPS):
         moments = _Moments(Fraction(alpha) / 2 + 1, Fraction(0), 0)
         for j, t in enumerate(_series_terms(moments, mp.mpf(x))):
             blocks[j % modulus] += 2 * t
     return [float(v) for v in blocks]
 
 
-def _moment_series(alpha: Fraction, n: int, xs: Sequence[float], dps: int = 60) -> list[tuple[float, float]]:
-    """Independent oracle for psi_n: (value, scale) at each x, summed at ``dps`` digits.
+def _moment_series(alpha: Fraction, n: int, xs: Sequence[float]) -> list[tuple[float, float]]:
+    """Independent oracle for psi_n: (value, scale) at each x, summed at _ORACLE_DPS digits.
 
     The generalisation of _moment_blocks to every term c k^q (k > 0) of the
     amplitude that pairs with the kernel: cos for even n (s = 0), sin with
@@ -448,7 +450,7 @@ def _moment_series(alpha: Fraction, n: int, xs: Sequence[float], dps: int = 60) 
     amp = excited_state(n, alpha).amplitude()
     terms = [(-t.coeff if s else t.coeff, t.exponent) for t in amp.terms]
     out = []
-    with mp.workdps(dps):
+    with mp.workdps(_ORACLE_DPS):
         series = [(_mpq(c), _Moments(b, q, s), _Moments(b, q, 0)) for c, q in terms]
         for x in xs:
             xm = mp.mpf(x)

@@ -188,8 +188,8 @@ def test_criterion_closed_form_index32_gates_low_terms(monkeypatch):
     # but must still fail the criterion
     original = v.closed_form_term_values
 
-    def slipped(table, x, dps=40):
-        values = original(table, x, dps)
+    def slipped(table, x):
+        values = original(table, x)
         values[1] *= 1 + 1e-8
         return values
 

@@ -363,6 +363,45 @@ class TestPlumbing:
             assert complex(re, im) == state.eval(k)
 
 
+
+# one invocation of each grid command per axis; the x-space nongauss grid
+# reaches the nan tail, the eigenvalue grid a pole row that is left out
+_GRID_CASES = [
+    "state --n 3 --alpha 2/3 --grid=-3:3:41",
+    "state --n 2 --alpha 3/2 --space x --grid=-4:4:17",
+    "eigenvalue --n 1 --alpha 2 --theta=1/2 --grid=-2:2:9",
+    "nongauss --alpha 1/2 --grid=-4:4:17",
+    "nongauss --alpha 1/2 --space x --grid=-12:12:25",
+]
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize("argv", [
+        "hermite --n 3",
+        "hermite --n 3 --alpha 3/2 --format csv",
+        "factorize --delta 3/2 --gamma 3/2",
+        "factorize --delta 2 --gamma 5/2 --space k --theta=2 --format json",
+        "validate",
+        *(f"{g} --format {f}" for g in _GRID_CASES for f in ("csv", "json")),
+    ])
+    def test_out_gets_the_stdout_bytes(self, capsys, tmp_path, argv):
+        target = tmp_path / "out"
+        code, out = run(capsys, *argv.split())
+        code_out, rest = run(capsys, *argv.split(), "--out", str(target))
+        assert code == code_out == 0 and rest == ""
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv", _GRID_CASES)
+    def test_csv_rows_carry_the_json_columns(self, capsys, argv):
+        _, text = run(capsys, *argv.split(), "--format", "csv")
+        _, js = run(capsys, *argv.split(), "--format", "json")
+        header, table = rows(text)
+        obj = json.loads(js)
+        assert header == [obj["axis"], "re", "im"]
+        columns = list(zip(obj["points"], obj["re"], obj["im"]))
+        # float.hex tells -0.0 from 0.0 and matches nan with nan
+        assert [[v.hex() for v in row] for row in table] == [[v.hex() for v in row] for row in columns]
+
 _COLD_START = """
 import contextlib, io, sys
 import rfho.cli

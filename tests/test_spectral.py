@@ -222,13 +222,13 @@ class TestEigenvalues:
 
     def test_skewed_sample_value(self):
         # symmetric 1/2 at k=1 plus the (i sgn - 1)|k|^a / a correction
-        got = sample_local_eigenvalue(0, F(1), 1, [1.0])[1][0]
+        got = sample_local_eigenvalue(0, F(1), 1, [1.0]).values[0]
         assert got == pytest.approx(complex(-0.5, 1.0), abs=1e-14)
-        mirrored = sample_local_eigenvalue(0, F(1), 1, [-1.0])[1][0]
+        mirrored = sample_local_eigenvalue(0, F(1), 1, [-1.0]).values[0]
         assert mirrored == pytest.approx(complex(-0.5, -1.0), abs=1e-14)
 
     def test_fractional_asymmetry_sampling(self):
-        got = sample_local_eigenvalue(0, F(2), F(1, 2), [1.0])[1][0]
+        got = sample_local_eigenvalue(0, F(2), F(1, 2), [1.0]).values[0]
         corr = (complex(math.cos(math.pi / 4), math.sin(math.pi / 4)) - 1) / 2
         assert got == pytest.approx(0.5 + corr, abs=1e-14)
 
@@ -247,8 +247,8 @@ class TestEigenvalues:
         # exp(i pi) in floats is -1 + 1.2e-16i; theta = 2 must take the exact phase
         for n in (0, 3, 6):
             for alpha in (F(1, 3), F(3, 2)):
-                _, vals = sample_local_eigenvalue(n, alpha, 2, [-2.0, -1.0, 1.0, 2.0])
-                assert [v.imag for v in vals] == [0.0] * 4
+                grid = sample_local_eigenvalue(n, alpha, 2, [-2.0, -1.0, 1.0, 2.0])
+                assert [v.imag for v in grid.values] == [0.0] * 4
 
     def test_integer_asymmetry_matches_exact_form(self):
         ks = [-2.5, -1.0, -0.3, 0.3, 1.0, 2.5]
@@ -256,18 +256,17 @@ class TestEigenvalues:
             for alpha in (F(1, 3), F(1), F(3, 2)):
                 for theta in range(-3, 6):
                     exact = local_eigenvalue(n, alpha, theta)
-                    pts, vals = sample_local_eigenvalue(n, alpha, theta, ks)
-                    for k, got in zip(pts, vals):
+                    grid = sample_local_eigenvalue(n, alpha, theta, ks)
+                    for k, got in zip(grid.points, grid.values):
                         assert got == pytest.approx(exact.eval(k), rel=1e-14)
 
     def test_sampling_omits_singular_points(self):
         # n = 1 at a = 2: the denominator a*H_1 vanishes at the origin
-        pts, vals = sample_local_eigenvalue(1, F(2), 0, [-1.0, 0.0, 1.0])
-        assert pts == [-1.0, 1.0] and len(vals) == 2
+        grid = sample_local_eigenvalue(1, F(2), 0, [-1.0, 0.0, 1.0])
+        assert grid.axis_label == "k" and grid.points == (-1.0, 1.0) and len(grid.values) == 2
         # n = 2 at a = 1: a negative power of |k| diverges at the origin
-        pts, _ = sample_local_eigenvalue(2, F(1), F(1, 2), [-1.0, 0.0, 1.0])
-        assert pts == [-1.0, 1.0]
-        ks = [-1.5, -0.5, 0.5, 1.5]
-        pts, vals = sample_local_eigenvalue(1, F(2), 0, ks)
-        assert pts == ks
-        assert vals == pytest.approx([1.5] * 4, abs=1e-12)
+        assert sample_local_eigenvalue(2, F(1), F(1, 2), [-1.0, 0.0, 1.0]).points == (-1.0, 1.0)
+        ks = (-1.5, -0.5, 0.5, 1.5)
+        grid = sample_local_eigenvalue(1, F(2), 0, ks)
+        assert grid.points == ks
+        assert grid.values == pytest.approx([1.5] * 4, abs=1e-12)
