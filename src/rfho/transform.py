@@ -284,11 +284,16 @@ def inverse_fourier(
 
 
 def nongaussianity_k(alpha, ks: Sequence[float]) -> Grid:
-    """1 - phi0_alpha(k) / phi0_2(k) on a k grid: 0 at index 2, ValueError outside (0, 2]."""
+    """1 - phi0_alpha(k) / phi0_2(k) on a k grid: 0 at index 2, ValueError outside (0, 2].
+
+    Written as -expm1(k^2/2 - |k|^e/e), which keeps its digits as the
+    exponent tends to 0 with k; ``0.0 -`` gives +0.0, not -0.0, at index 2.
+    OverflowError once the exponent passes about 709.
+    """
     e = float(ground_state(alpha).ground_exponent)
     pts = tuple(float(k) for k in ks)
     values = tuple(
-        complex(1.0 - math.exp(k * k / 2 - abs(k) ** e / e), 0.0) for k in pts
+        complex(0.0 - math.expm1(k * k / 2 - abs(k) ** e / e), 0.0) for k in pts
     )
     return Grid("k", pts, values)
 

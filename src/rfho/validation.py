@@ -17,7 +17,10 @@ and the scaling of the asymmetry correction to the local eigenvalues.
 The closed-form table for index 3/2 contains per-term mismatches against
 the moment oracle; these are itemized in the corresponding criterion's
 detail text (suspected transcription slips, not corrected).  Its three
-lowest terms carry no slip and must match the oracle to 1e-9.
+lowest terms carry no slip and must match the oracle to 1e-12.
+
+Every threshold a numeric criterion compares against and prints lives in
+``LIMITS``.
 
 mpmath is imported on first use, inside the oracles that need it, so
 the exact subcommands start without it.
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .hermite import (
@@ -86,15 +90,35 @@ _TEST_ALPHAS = (F(1), F(3, 2), F(2))
 _ORACLE_DPS = 60
 
 
-def _default_family(n_max: int = N_MAX) -> list[KExpr]:
-    return [rf_hermite(n).expr for n in range(n_max + 1)]
+#: the bound each numeric gate compares against and prints, about 100 times
+#: the largest value measured; the index-3/2 "overall" entry only labels the
+#: mismatch within or beyond, and gates nothing
+LIMITS = {
+    "kernel": 1e-14,
+    "gaussian-identity": 1e-14,
+    "transform-calibration": 1e-13,
+    "closed-form-index-1": 1e-13,
+    "closed-form-index-3/2 drift": 1e-12,
+    "closed-form-index-3/2 low terms": 1e-12,
+    "closed-form-index-3/2 overall": 1e-5,
+}
+
+
+def _gate(key: str, value: float) -> tuple[bool, str]:
+    """Whether ``value`` lies below LIMITS[key], and that limit as printed: 1e-5, not 1e-05."""
+    mantissa, exponent = f"{LIMITS[key]:.0e}".split("e")
+    return value < LIMITS[key], f"{mantissa}e{int(exponent)}"
+
+
+def _default_family() -> list[KExpr]:
+    return [rf_hermite(n).expr for n in range(N_MAX + 1)]
 
 
 # ---------------------------------------------------------------------------
 # symbolic criteria
 
-def crit_ladder_rodrigues(family: Sequence[KExpr] | None = None) -> CriterionResult:
-    exprs = list(family) if family is not None else _default_family()
+def crit_ladder_rodrigues() -> CriterionResult:
+    exprs = _default_family()
     h = RFHermite(0, KExpr.one())
     for n, expr in enumerate(exprs):
         if n:
@@ -120,8 +144,8 @@ def _classical_hermite(n: int) -> list[int]:
     return h
 
 
-def crit_classical_reduction(family: Sequence[KExpr] | None = None) -> CriterionResult:
-    exprs = list(family) if family is not None else _default_family()
+def crit_classical_reduction() -> CriterionResult:
+    exprs = _default_family()
     for n, expr in enumerate(exprs):
         try:
             reduced = standard_reduction(RFHermite(n, expr))
@@ -138,13 +162,13 @@ def crit_classical_reduction(family: Sequence[KExpr] | None = None) -> Criterion
     )
 
 
-def crit_parity_reality(family: Sequence[KExpr] | None = None) -> CriterionResult:
+def crit_parity_reality() -> CriterionResult:
     """Every term of H_n carries sgn(k)**(n mod 2).
 
     That premise makes phi_n = i**n H_n phi0 real and even or imaginary and
     odd, so psi_n is a real cos (even n) or sin (odd n) transform.
     """
-    exprs = list(family) if family is not None else _default_family()
+    exprs = _default_family()
     for n, expr in enumerate(exprs):
         if any(t.sgn_parity != n % 2 for t in expr.terms):
             return _result("parity-reality", False, f"H_{n} has a term of sgn parity {1 - n % 2}")
@@ -286,8 +310,8 @@ def crit_kernel() -> CriterionResult:
     for a in _TEST_ALPHAS:
         for k in (0.3, -0.3, 1.0, -1.0, 2.5, -2.5):
             worst = max(worst, abs(kernel_residual_at(a, k)))
-    ok = worst < 1e-12
-    return _result("kernel", ok, f"max |lowering residue| = {worst:.2e} (limit 1e-12)")
+    ok, limit = _gate("kernel", worst)
+    return _result("kernel", ok, f"max |lowering residue| = {worst:.2e} (limit {limit})")
 
 
 def crit_factorization() -> CriterionResult:
@@ -321,37 +345,40 @@ def crit_factorization() -> CriterionResult:
 def crit_gaussian_identity() -> CriterionResult:
     xs = [4.0 * i / 99 for i in range(100)]
     worst = max(abs(math.exp(-x * x / 2) - g) for x, g in zip(xs, gaussian_values(xs)))
-    ok = worst < 1e-12
-    return _result("gaussian-identity", ok, f"max |residual| = {worst:.2e} on [0,4] (limit 1e-12)")
+    ok, limit = _gate("gaussian-identity", worst)
+    return _result("gaussian-identity", ok, f"max |residual| = {worst:.2e} on [0,4] (limit {limit})")
 
 
 def crit_calibration() -> CriterionResult:
     psi = inverse_fourier(ground_state(1), [0.0])
     a0 = float(closed_form_psi0(F(1)).a_values()[0])
     rel = abs(psi.values[0].real - a0) / a0
-    ok = rel < 1e-10
+    ok, limit = _gate("transform-calibration", rel)
     return _result(
         "transform-calibration", ok,
-        f"psi0(0) vs closed-form anchor: relative error {rel:.2e} (limit 1e-10)",
+        f"psi0(0) vs closed-form anchor: relative error {rel:.2e} (limit {limit})",
     )
 
 
-def _x_grid() -> list[float]:
-    return [3.0 * i / 60 for i in range(61)]
-
-
-def crit_closed_form_alpha1() -> CriterionResult:
-    grid = inverse_fourier(ground_state(F(1)), _x_grid())
+def _closed_form_mismatch(alpha: Fraction):
+    """psi0 by quadrature on 61 points of [0, 3], its closed-form table, and
+    the worst mismatch between the two relative to the peak psi0(0)."""
+    grid = inverse_fourier(ground_state(alpha), [3.0 * i / 60 for i in range(61)])
     peak = grid.values[0].real
-    table = closed_form_psi0(F(1))
+    table = closed_form_psi0(alpha)
     worst = max(
         abs(v.real - c) / peak
         for v, c in zip(grid.values, closed_form_values(table, grid.points))
     )
-    ok = worst < 1e-6
+    return grid, table, worst
+
+
+def crit_closed_form_alpha1() -> CriterionResult:
+    _, _, worst = _closed_form_mismatch(F(1))
+    ok, limit = _gate("closed-form-index-1", worst)
     return _result(
         "closed-form-index-1", ok,
-        f"max relative-to-peak mismatch {worst:.2e} on [0,3] (limit 1e-6)",
+        f"max relative-to-peak mismatch {worst:.2e} on [0,3] (limit {limit})",
     )
 
 
@@ -361,38 +388,21 @@ def _mpq(v: Fraction):
     return mp.mpf(v.numerator) / v.denominator
 
 
-class _Moments:
-    """Ground-state moments M_{q+2j+s}, j = 0, 1, ..., at the precision of first use.
+@lru_cache(maxsize=4096)
+def _moment(b: Fraction, p: Fraction):
+    """Ground-state moment M_p = b^((p+1)/b - 1) Gamma((p+1)/b) at _ORACLE_DPS digits.
 
-    M_p = integral_0^inf k^p exp(-k^b/b) dk = b^((p+1)/b - 1) Gamma((p+1)/b)
-    for p > -1, b = alpha/2 + 1.  Along j the Gamma argument z_j grows by
-    2/b; with 2/b = L/d in lowest terms, M_{j+d} = M_j b^L z_j (z_j + 1)
-    ... (z_j + L - 1), so only the first d moments need a Gamma call.
+    For p > -1 this is integral_0^inf k^p exp(-k^b/b) dk, b = alpha/2 + 1
+    (Gradshteyn & Ryzhik 3.326.2); for p <= -1 it is Gamma's continuation.
     """
+    import mpmath as mp
 
-    def __init__(self, b: Fraction, q: Fraction, s: int):
-        self.b, self.q, self.s = b, q, s
-        shift = 2 / b
-        self.period, self.lift = shift.denominator, shift.numerator
-        self.values: list = []
-
-    def __getitem__(self, j: int):
-        while len(self.values) <= j:
-            i, b = len(self.values), self.b
-            if i < self.period:
-                import mpmath as mp
-
-                z = _mpq((self.q + 2 * i + self.s + 1) / b)
-                self.values.append(mp.power(_mpq(b), z - 1) * mp.gamma(z))
-            else:
-                z = (self.q + 2 * (i - self.period) + self.s + 1) / b
-                rising = math.prod(z.numerator + k * z.denominator for k in range(self.lift))
-                scale = _mpq(b) ** self.lift * rising / z.denominator**self.lift
-                self.values.append(self.values[i - self.period] * scale)
-        return self.values[j]
+    with mp.workdps(_ORACLE_DPS):
+        z = _mpq((p + 1) / b)
+        return mp.power(_mpq(b), z - 1) * mp.gamma(z)
 
 
-def _series_terms(moments: _Moments, x) -> list:
+def _series_terms(b: Fraction, q: Fraction, s: int, x) -> list:
     """Terms (-1)^j x^(2j+s)/(2j+s)! M_{q+2j+s} up to the first below 1e-40 of the largest.
 
     Cos (s = 0) or sin (s = 1) expanded under the moment integral; the
@@ -400,11 +410,11 @@ def _series_terms(moments: _Moments, x) -> list:
     """
     import mpmath as mp
 
-    s, x2, tiny = moments.s, x * x, mp.mpf(10) ** -40
+    x2, tiny = x * x, mp.mpf(10) ** -40
     power = x**s            # x^(2j+s) / (2j+s)!
     terms, top, j = [], mp.mpf(0), 0
     while True:
-        t = power * moments[j]
+        t = power * _moment(b, q + 2 * j + s)
         terms.append(-t if j % 2 else t)
         top = max(top, abs(t))
         if abs(t) <= tiny * top:
@@ -417,15 +427,14 @@ def _moment_blocks(alpha: Fraction, x: float, modulus: int) -> list[float]:
     """Independent oracle: psi0 series moments grouped by residue class.
 
     psi0(x) = 2 sum_j (-1)^j x^(2j)/(2j)! M_{2j} with the ground-state
-    moments of _Moments; class m mod ``modulus`` isolates the closed-form
+    moments of _moment; class m mod ``modulus`` isolates the closed-form
     table's m-th summand.
     """
     import mpmath as mp
 
     blocks = [mp.mpf(0)] * modulus
     with mp.workdps(_ORACLE_DPS):
-        moments = _Moments(Fraction(alpha) / 2 + 1, Fraction(0), 0)
-        for j, t in enumerate(_series_terms(moments, mp.mpf(x))):
+        for j, t in enumerate(_series_terms(Fraction(alpha) / 2 + 1, F(0), 0, mp.mpf(x))):
             blocks[j % modulus] += 2 * t
     return [float(v) for v in blocks]
 
@@ -448,32 +457,25 @@ def _moment_series(alpha: Fraction, n: int, xs: Sequence[float]) -> list[tuple[f
     b = alpha / 2 + 1
     s = n % 2
     amp = excited_state(n, alpha).amplitude()
-    terms = [(-t.coeff if s else t.coeff, t.exponent) for t in amp.terms]
     out = []
     with mp.workdps(_ORACLE_DPS):
-        series = [(_mpq(c), _Moments(b, q, s), _Moments(b, q, 0)) for c, q in terms]
+        terms = [(_mpq(-t.coeff if s else t.coeff), t.exponent) for t in amp.terms]
         for x in xs:
             xm = mp.mpf(x)
             value = scale = mp.mpf(0)
-            for c, moments, plain in series:
-                value += c * mp.fsum(_series_terms(moments, xm))
-                bound = plain[0] if plain.q > -1 else mp.inf
+            for c, q in terms:
+                value += c * mp.fsum(_series_terms(b, q, s, xm))
+                bound = _moment(b, q) if q > -1 else mp.inf
                 if s:
-                    bound = min(bound, abs(xm) * moments[0])
+                    bound = min(bound, abs(xm) * _moment(b, q + 1))
                 scale += abs(c) * bound
             out.append((float(2 * value), float(2 * scale)))
     return out
 
 
 def crit_closed_form_alpha32() -> CriterionResult:
-    grid = inverse_fourier(ground_state(F(3, 2)), _x_grid())
-    peak = grid.values[0].real
-    table = closed_form_psi0(F(3, 2))
-    overall = max(
-        abs(v.real - c) / peak
-        for v, c in zip(grid.values, closed_form_values(table, grid.points))
-    )
-    overall_ok = overall < 1e-5
+    grid, table, overall = _closed_form_mismatch(F(3, 2))
+    overall_ok, overall_limit = _gate("closed-form-index-3/2 overall", overall)
 
     # per-term audit at one representative abscissa
     x = 2.0
@@ -487,19 +489,19 @@ def crit_closed_form_alpha32() -> CriterionResult:
     itemized = "; ".join(items) if items else "all terms match the moment oracle"
     # the three lowest terms carry no suspected slip: they gate the table
     low = max(abs(ratio - 1) for ratio in ratios[:3])
-    low_ok = low < 1e-9
+    low_ok, low_limit = _gate("closed-form-index-3/2 low terms", low)
 
-    grid2 = inverse_fourier(ground_state(F(3, 2)), _x_grid(), panel_count=2 * PANEL_COUNT)
+    grid2 = inverse_fourier(ground_state(F(3, 2)), grid.points, panel_count=2 * PANEL_COUNT)
     drift = max(abs(a.real - b.real) for a, b in zip(grid.values, grid2.values))
-    converged = drift < 1e-10
+    converged, drift_limit = _gate("closed-form-index-3/2 drift", drift)
 
     detail = (
-        f"quadrature self-convergence drift {drift:.2e} (limit 1e-10); "
+        f"quadrature self-convergence drift {drift:.2e} (limit {drift_limit}); "
         f"overall closed-form mismatch {overall:.2e} "
-        f"({'within' if overall_ok else 'beyond'} 1e-5); {itemized}"
+        f"({'within' if overall_ok else 'beyond'} {overall_limit}); {itemized}"
     )
     if not low_ok:
-        detail += f"; lowest three terms off the moment oracle by {low:.2e} (limit 1e-9)"
+        detail += f"; lowest three terms off the moment oracle by {low:.2e} (limit {low_limit})"
     return _result("closed-form-index-3/2", converged and low_ok, detail)
 
 
@@ -554,6 +556,7 @@ __all__ = [
     "CriterionResult",
     "H4_COEFF_PRINTED",
     "H4_COEFF_RECURRENCE",
+    "LIMITS",
     "crit_calibration",
     "crit_classical_reduction",
     "crit_closed_form_alpha1",

@@ -154,7 +154,7 @@ def test_criterion_calibration_fails_a_scaled_transform(monkeypatch):
     )
     result = v.crit_calibration()
     assert result.passed is False
-    assert "relative error 1.00e-08 (limit 1e-10)" in result.detail
+    assert "relative error 1.00e-08 (limit 1e-13)" in result.detail
 
 
 def test_criterion_closed_form_index1_crosscheck():
@@ -250,27 +250,117 @@ def _family_with_sign_error(n_max: int) -> list[KExpr]:
     return exprs
 
 
-def test_mutation_sanity():
-    broken = _family_with_sign_error(6)
-    assert not v.crit_ladder_rodrigues(broken).passed
-    assert not v.crit_classical_reduction(broken).passed
+def test_mutation_sanity(monkeypatch):
+    monkeypatch.setattr(v, "_default_family", lambda: _family_with_sign_error(6))
+    assert not v.crit_ladder_rodrigues().passed
+    assert not v.crit_classical_reduction().passed
 
 
-def test_classical_reduction_fails_a_scaled_member():
+def test_classical_reduction_fails_a_scaled_member(monkeypatch):
     # 5/4 H_1 reduces to (5/2) k; the check must compare exact coefficients
     family = [rf_hermite(n).expr for n in range(4)]
     family[1] = family[1].scale(F(5, 4))
-    assert v.crit_classical_reduction(family).passed is False
+    monkeypatch.setattr(v, "_default_family", lambda: family)
+    assert v.crit_classical_reduction().passed is False
 
 
-def test_parity_criterion_fails_a_wrong_parity_member():
+def test_parity_criterion_fails_a_wrong_parity_member(monkeypatch):
     family = [rf_hermite(n).expr for n in range(4)]
     family[1] = KExpr.one()
-    result = v.crit_parity_reality(family)
+    monkeypatch.setattr(v, "_default_family", lambda: family)
+    result = v.crit_parity_reality()
     assert result.passed is False
     assert "H_1" in result.detail
     # no index-2 reduction exists for it; the criterion fails instead of raising
-    assert v.crit_classical_reduction(family).passed is False
+    assert v.crit_classical_reduction().passed is False
+
+
+def test_limits_are_pinned():
+    # a gate may be tightened, never loosened: any change here must be logged
+    assert v.LIMITS == {
+        "kernel": 1e-14,
+        "gaussian-identity": 1e-14,
+        "transform-calibration": 1e-13,
+        "closed-form-index-1": 1e-13,
+        "closed-form-index-3/2 drift": 1e-12,
+        "closed-form-index-3/2 low terms": 1e-12,
+        "closed-form-index-3/2 overall": 1e-5,
+    }
+
+
+def _patch_scaled(monkeypatch, name, scale, when=lambda *args, **kwargs: True):
+    original = getattr(v, name)
+
+    def scaled(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if not when(*args, **kwargs):
+            return out
+        if isinstance(out, Grid):
+            return _changed_values(out, lambda z: z * scale)
+        return [c * scale for c in out]
+
+    monkeypatch.setattr(v, name, scaled)
+
+
+def _second_term_slipped(monkeypatch):
+    original = v.closed_form_term_values
+
+    def slipped(table, x):
+        values = original(table, x)
+        values[1] *= 1 + 1e-11
+        return values
+
+    monkeypatch.setattr(v, "closed_form_term_values", slipped)
+
+
+# each mutant moves its gate's measured value into the gap between the
+# parent's limit and the tightened one
+_MUTANTS = [
+    ("crit_kernel", "kernel", 1e-12, lambda mp: mp.setattr(
+        v, "kernel_residual_at", lambda a, k, f=v.kernel_residual_at: f(a, k) + 1e-13)),
+    ("crit_gaussian_identity", "gaussian-identity", 1e-12,
+     lambda mp: _patch_scaled(mp, "gaussian_values", 1 + 1e-13)),
+    ("crit_calibration", "transform-calibration", 1e-10,
+     lambda mp: _patch_scaled(mp, "inverse_fourier", 1 + 1e-11)),
+    ("crit_closed_form_alpha1", "closed-form-index-1", 1e-6,
+     lambda mp: _patch_scaled(mp, "inverse_fourier", 1 + 1e-11)),
+    ("crit_closed_form_alpha32", "closed-form-index-3/2 drift", 1e-10,
+     lambda mp: _patch_scaled(mp, "inverse_fourier", 1 + 1e-11,
+                              lambda *args, panel_count=None: panel_count is not None)),
+    ("crit_closed_form_alpha32", "closed-form-index-3/2 low terms", 1e-9, _second_term_slipped),
+]
+
+
+@pytest.mark.parametrize("crit, key, parent_limit, mutant", _MUTANTS, ids=[m[1] for m in _MUTANTS])
+def test_tightened_gate_fails_what_the_parent_limit_passed(monkeypatch, crit, key, parent_limit, mutant):
+    mutant(monkeypatch)
+    result = getattr(v, crit)()
+    assert result.passed is False, result.detail
+    monkeypatch.setitem(v.LIMITS, key, parent_limit)
+    result = getattr(v, crit)()
+    assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("b", [F(11, 10), F(7, 4), F(2)], ids=str)
+@pytest.mark.parametrize("p", [F(-1, 2), F(0), F(1), F(5, 2)], ids=str)
+def test_moment_matches_quadrature(p, b):
+    import mpmath as mp
+
+    # k = u^2 takes the k^(-1/2) endpoint singularity out of the integrand
+    with mp.workdps(50):
+        bm, pm = v._mpq(b), v._mpq(p)
+        ref = mp.quad(lambda u: 2 * u ** (2 * pm + 1) * mp.exp(-u ** (2 * bm) / bm), [0, mp.inf])
+        assert abs(v._moment(b, p) - ref) <= mp.mpf(10) ** -40 * ref
+
+
+@pytest.mark.parametrize("p", [F(-1, 2), F(0), F(1), F(5, 2)], ids=str)
+def test_moment_at_index2_is_the_gaussian_moment(p):
+    import mpmath as mp
+
+    with mp.workdps(60):
+        pm = v._mpq(p)
+        want = mp.power(2, (pm - 1) / 2) * mp.gamma((pm + 1) / 2)
+        assert abs(v._moment(F(2), p) - want) <= mp.mpf(10) ** -55 * want
 
 
 def test_run_all_shape():

@@ -178,6 +178,8 @@ class TestNonGauss:
         assert code == 0
         _, data = rows(out)
         assert all(r[1] == 0.0 for r in data)
+        # == 0.0 also accepts -0.0, which would print as -0
+        assert "-0" not in [field for line in out.splitlines() for field in line.split(",")]
 
     def test_x_space_low_index(self, capsys):
         # index 1/5 needs the cutoff 29; the deep tail is reported as nan
@@ -289,10 +291,10 @@ class TestPlumbing:
          "cd1ce61fe341b5d55a24784b2899909ffc0e296f93e9d17f3a4af98a27a12c43"),
         ("eigenvalue --n 7 --alpha 3/2 --theta=1/2",
          "a3c1938d1e2b2b5981923d73a49cce3b3f422d1f77cf313e0159214b3a0d2cef"),
-        # re-pinned when the hermite4-coefficient detail began to report the
-        # ladder step from the transcribed third member
+        # re-pinned when the numeric gates were tightened: only the
+        # "(limit ...)" figures changed
         ("validate --format json",
-         "14332469e74b29b7648d44fc89b9ae2a69c16e18186f25c1ad3dae315678b0e6"),
+         "ec18874e871d170410a4a1183e8a12553ab8730ea0f897e9e32f4322c93d4138"),
         # factorize pinned before the k-space remainder was rebuilt from its
         # monomial sums; an x-space --theta of 0 changes nothing
         ("factorize --delta 1 --gamma 2",
@@ -311,8 +313,9 @@ class TestPlumbing:
          "1a3be253bff42e0f1a1ada2c01e985a50befdfcb637a12e25cc279aff2a09d98"),
         ("state --n 4 --alpha 3/2 --grid=-2:2:9",
          "0a4c8817f25733b4d4af7d3efb8b23054cb03aaa9445ed238ebad2e08b42663c"),
+        # re-pinned when nongaussianity_k became -expm1(...): last digits only
         ("nongauss --alpha 1/2 --grid=-4:4:17 --format json",
-         "c0d24616d76f467c7cb9d324a90b30aa1cda7e3f9599dc4e7605583fe0a28dbf"),
+         "9c51282c4241314399e04acaab718812ce02ecb6807d1f0194d7218a07915e21"),
         ("hermite --n 12 --alpha 2/3 --format csv",
          "439cfc193648180efb69732ea7c8a8cd41431b8934b8f0f9b3586b5bc5fd195f"),
         # pinned once the symmetric eigenvalue's zero imaginary part at
@@ -528,12 +531,14 @@ class TestInputContract:
         assert "reach" in captured.err
 
     @pytest.mark.parametrize("cmd", [
-        ["state", "--n", "3"],
-        ["eigenvalue", "--n", "3"],
-        ["nongauss"],
+        ["state", "--n", "3", "--alpha", "3/2", "--grid=-1e200:1e200:3"],
+        ["eigenvalue", "--n", "3", "--alpha", "3/2", "--grid=-1e200:1e200:3"],
+        ["nongauss", "--alpha", "3/2", "--grid=-1e200:1e200:3"],
+        # k^2/2 - |k|^(5/4)/(5/4) passes 709 from |k| = 39.7
+        ["nongauss", "--alpha", "1/2", "--grid=-60:60:5"],
     ])
     def test_overflow_exits_1(self, capsys, cmd):
-        code = main([*cmd, "--alpha", "3/2", "--grid=-1e200:1e200:3"])
+        code = main(cmd)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""

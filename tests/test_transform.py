@@ -165,6 +165,22 @@ class TestNonGaussianity:
         grid = nongaussianity_x(F(2), [0.0, 0.5, 1.0, 2.0])
         assert all(v == 0 for v in grid.values)
 
+    @pytest.mark.parametrize(
+        "alpha", [F(1, 5), F(1, 2), F(2, 3), F(1), F(5, 4), F(3, 2), F(7, 4), F(2)], ids=str
+    )
+    def test_k_space_matches_mpmath_near_zero(self, alpha):
+        # 1 - exp(E) lost up to 8e-2 of its value at k = 1e-8, where E -> 0
+        import mpmath as mp
+
+        ks = [10.0**-j for j in range(8, 0, -1)] + [0.5, 1.0, 2.0, 3.0, 4.0, 5.0]
+        grid = nongaussianity_k(alpha, ks)
+        e = alpha / 2 + 1
+        with mp.workdps(50):
+            em = mp.mpf(e.numerator) / e.denominator
+            for k, v in zip(ks, grid.values):
+                ref = -mp.expm1(mp.mpf(k) ** 2 / 2 - mp.mpf(k) ** em / em)
+                assert abs(v.real - ref) <= 1e-14 * abs(ref), (k, v.real)
+
     def test_index1_crossing(self):
         # k* solves k^2/2 = (2/3) k^(3/2), i.e. k* = 16/9
         star = 16 / 9
