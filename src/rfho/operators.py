@@ -6,7 +6,8 @@ The only structural axiom is the commutation rule
 
     D**b x = x D**b + b D**(b-1)
 
-applied repeatedly to push derivative factors to the right of x factors
+applied n times in closed form, D**b x**n = sum_i C(n, i) b(b-1)...(b-i+1)
+x**(n-i) D**(b-i), to push derivative factors to the right of x factors
 (normal order).  Everything downstream is exact rational bookkeeping.
 
 The oscillator factorizes through the first-order pair
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .kterms import FixedKExpr, _as_fraction, _signed_join, _TermSum
 from .spectral import KState, half_turn
@@ -50,8 +50,9 @@ class OpWord:
     dorder: Fraction
 
     def __post_init__(self) -> None:
-        if self.xpow < 0:
-            raise ValueError("x power must be nonnegative")
+        # bool is an int subclass: True would print as x
+        if not isinstance(self.xpow, int) or isinstance(self.xpow, bool) or self.xpow < 0:
+            raise ValueError(f"x power must be nonnegative and integral, got {self.xpow!r}")
 
     def __str__(self) -> str:
         factors = []
@@ -89,14 +90,18 @@ class OpExpr(_TermSum):
         return OpExpr._single(OpWord(_as_fraction(coeff), xpow, _as_fraction(dorder)))
 
     def __mul__(self, other: OpExpr) -> OpExpr:
+        # each left D**b passes the right x**n by the closed form of the module
+        # docstring, term i from term i - 1; then the D orders add
+        pairs = []
         right = other._pairs()
-        # push each left D order through the right x power, then the D orders add
-        return OpExpr._merge(
-            ((x + w.xpow, w.dorder + od), c * oc * w.coeff)
-            for (x, d), c in self._pairs()
-            for (ox, od), oc in right
-            for w in _push_through(d, ox).words
-        )
+        for (x, b), c in self._pairs():
+            for (n, e), oc in right:
+                xpow, dorder, coeff = x + n, b + e, c * oc
+                pairs.append(((xpow, dorder), coeff))
+                for i in range(1, n + 1 if b else 1):
+                    xpow, dorder, coeff = xpow - 1, dorder - 1, coeff * (b - i + 1) * (n - i + 1) / i
+                    pairs.append(((xpow, dorder), coeff))
+        return OpExpr._merge(pairs)
 
     def to_json_obj(self) -> list[dict]:
         return [
@@ -106,21 +111,6 @@ class OpExpr(_TermSum):
 
     def __str__(self) -> str:
         return _signed_join([str(w) for w in self.words])
-
-
-@lru_cache(maxsize=None)
-def _push_through(dorder: Fraction, xpow: int) -> OpExpr:
-    """Normal-order D**dorder x**xpow.
-
-    Single axiom D**b x = x D**b + b D**(b-1), recursed over xpow:
-    D**b x**n = x (D**b x**(n-1)) + b (D**(b-1) x**(n-1)).  Each step
-    lowers the number of x factors right of the D factor, so this
-    terminates; the x factor on the left is already in normal order.
-    """
-    if xpow == 0 or dorder == 0:
-        return OpExpr.word(1, xpow, dorder)
-    x = OpExpr.word(1, 1, 0)
-    return x * _push_through(dorder, xpow - 1) + _push_through(dorder - 1, xpow - 1).scale(dorder)
 
 
 def _positive_order(value) -> Fraction:

@@ -106,13 +106,15 @@ class Grid:
 class KState:
     """Eigenstate phi_n = i**n H_n(k) phi0(k) in k space, fixed by n and alpha.
 
-    alpha is checked, then n; only then is ``hermite`` set to ``rf_hermite(n)``.
+    alpha is made a Fraction and checked, then n; only then is ``hermite``
+    set to ``rf_hermite(n)``.
     """
 
     n: int
     alpha: Fraction
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", _as_fraction(self.alpha))
         _check_alpha(self.alpha)
         _check_index(self.n)
         object.__setattr__(self, "hermite", rf_hermite(self.n))
@@ -143,11 +145,11 @@ class KState:
 
 
 def ground_state(alpha) -> KState:
-    return KState(0, _as_fraction(alpha))
+    return KState(0, alpha)
 
 
 def excited_state(n: int, alpha) -> KState:
-    return KState(n, _as_fraction(alpha))
+    return KState(n, alpha)
 
 
 def ground_kernel_residual() -> KExpr:
@@ -195,6 +197,7 @@ class LocalEigenvalue:
     den: KExpr
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", _as_fraction(self.alpha))
         _check_alpha(self.alpha)
 
     def eval(self, k: float) -> complex:

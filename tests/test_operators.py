@@ -42,6 +42,25 @@ def test_push_through_square():
     assert got == want
 
 
+def test_push_through_closed_form():
+    # D^(1/2) x^80: C(80, i) (1/2)(-1/2)...(3/2 - i) x^(80-i) D^(1/2-i), every i kept
+    b, fall, want = F(1, 2), F(1), OpExpr.zero()
+    for i in range(81):
+        want += OpExpr.word(math.comb(80, i) * fall, 80 - i, b - i)
+        fall *= b - i
+    got = OpExpr.word(1, 0, b) * OpExpr.word(1, 80, 0)
+    assert got == want and len(got.words) == 81
+
+
+def test_push_through_high_power_without_recursion():
+    # far beyond the interpreter's recursion limit; x^3000 = x^2999 x, and the
+    # last x passes each of the 3000 words by the axiom applied once
+    d = OpExpr.word(1, 0, F(1, 2))
+    got = d * OpExpr.word(1, 3000, 0)
+    assert len(got.words) == 3001
+    assert got == (d * OpExpr.word(1, 2999, 0)) * OpExpr.word(1, 1, 0)
+
+
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 orders = st.sampled_from([F(-1, 2), F(0), F(1, 2), F(1), F(3, 2)])
 words = st.builds(OpExpr.word, coeffs, st.integers(min_value=0, max_value=2), orders)
@@ -62,8 +81,9 @@ def test_multiplication_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-# an OpExpr as a plain dict {(xpow, dorder): coeff}
-word_parts = st.lists(st.tuples(coeffs, st.integers(min_value=0, max_value=2), orders), max_size=4)
+# an OpExpr as a plain dict {(xpow, dorder): coeff}; x powers up to 5 reach
+# the higher terms of the closed form
+word_parts = st.lists(st.tuples(coeffs, st.integers(min_value=0, max_value=5), orders), max_size=4)
 
 
 def _oref(pairs) -> dict:
@@ -171,6 +191,13 @@ def test_factorization_identity_scaled():
 def test_negative_x_power_refused():
     with pytest.raises(ValueError, match="x power must be nonnegative"):
         OpWord(F(1), -1, F(0))
+
+
+@pytest.mark.parametrize("xpow", [F(3, 2), 1.5, True, False, "2"])
+def test_non_integral_x_power_refused(xpow):
+    # a product runs the axiom x-power times, and True would print as x
+    with pytest.raises(ValueError, match="x power must be nonnegative and integral"):
+        OpExpr.word(1, xpow, 0)
 
 
 def test_positive_orders_required():

@@ -10,6 +10,7 @@ from rfho.hermite import rf_hermite
 from rfho.kterms import AlphaPoly, DomainError, KExpr
 from rfho.spectral import (
     KState,
+    LocalEigenvalue,
     excited_state,
     ground_kernel_residual,
     ground_state,
@@ -107,6 +108,20 @@ class TestStates:
         for n in (-1, True):
             with pytest.raises(ValueError, match="index must be a nonnegative integer"):
                 KState(n, F(1))
+
+    def test_alpha_made_exact_at_construction(self):
+        # a float passes the range check, so it is refused before it, not at the first eval
+        state = KState(1, 1)
+        assert type(state.alpha) is F and state.alpha == 1
+        lam = local_eigenvalue(2, F(3, 2))
+        rebuilt = LocalEigenvalue(2, "3/2", lam.theta, lam.re_num, lam.im_num, lam.den)
+        assert type(rebuilt.alpha) is F and rebuilt == lam
+        for build in (
+            lambda: KState(1, 0.5),
+            lambda: LocalEigenvalue(2, 1.5, lam.theta, lam.re_num, lam.im_num, lam.den),
+        ):
+            with pytest.raises(TypeError, match="expected an exact rational, got float"):
+                build()
 
 
 class TestKernel:
