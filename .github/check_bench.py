@@ -4,10 +4,8 @@
 
 reads ``perfbench/out/<workload>-seed1-trace<t>.json``, as
 ``perfbench/run.py --seed 1`` writes them, and exits 1 unless each record
-has ``correct`` true, lists every failed operation, and lists no failure but
-the x-space refusal of state n = 3 at index 1/5, whose amplitude
-overflows next to k = 0, in xspace-transform alone.  With --trace 0 the
-metric names must also be BENCHMARK.json's ``end_to_end`` names, in order.
+has ``correct`` true and no failed operation.  With --trace 0 the metric
+names must also be BENCHMARK.json's ``end_to_end`` names, in order.
 """
 
 import argparse
@@ -18,23 +16,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "perfbench" / "out"
 WORKLOADS = ("exact-cold", "kspace-sweep", "validate", "xspace-transform")
-REFUSAL = ["state", "--n", "3", "--alpha", "1/5", "--space", "x"]
 
 
-def _refused(failure: dict) -> bool:
-    op = failure["op"]
-    return isinstance(op, list) and op[:7] == REFUSAL and "overflows there" in failure["error"]
-
-
-def problems(workload: str, record: dict, names: list[str] | None) -> list[str]:
+def problems(record: dict, names: list[str] | None) -> list[str]:
     found = []
     if record["correct"] is not True:
         found.append("correct is not true")
-    if record["failed"] > len(record["failures"]):
-        found.append(f"{record['failed']} failed operations, {len(record['failures'])} listed")
-    stray = [f for f in record["failures"] if not (workload == "xspace-transform" and _refused(f))]
-    if stray:
-        found.append(f"unexpected failures {stray}")
+    if record["failed"] or record["failures"]:
+        found.append(f"{record['failed']} failed operations: {record['failures']}")
     if names is not None and list(record["metrics"]) != names:
         found.append(f"metric names {list(record['metrics'])}, expected {names}")
     return found
@@ -50,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     ok = True
     for workload in WORKLOADS:
         record = json.loads((OUT / f"{workload}-seed1-trace{args.trace}.json").read_text())
-        found = problems(workload, record, names)
+        found = problems(record, names)
         print(workload, "FAILED: " + "; ".join(found) if found else "ok", record["metrics"] if names else "")
         ok = ok and not found
     return 0 if ok else 1

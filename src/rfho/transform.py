@@ -27,20 +27,22 @@ states uses the largest K among them.  The amplitudes carry |k|**q
 singularities at the origin (integrable after the parity factor softens
 them to k**p, p > -1), so the first panel [0, h] uses a tanh-sinh rule,
 whose nodes crowd double exponentially towards k = 0; the other panels
-use 16-node Gauss-Legendre.  The tanh-sinh panel is cut on the left
-where the mass of the dropped sliver [0, k0], bounded by the state's
-coefficient sum times k0**(p+1) / (p+1), falls below 1e-17 of the
-integrand's absolute mass.  Where the raw amplitude overflows at the
-deepest nodes, the cut moves up to the first node whose value is finite,
-and the transform is refused if the dropped mass bound then exceeds
-1e-16 of that mass.
+use 16-node Gauss-Legendre.  Every node is kept.  Weight and amplitude
+are formed together, as (w / k) * sum_i c_i k**(q_i + 1): each power
+q_i + 1 is above 0 on the even fold and above -1 on the odd one, so no
+factor overflows, even at the deepest node k0, 6e-276 panel widths from
+the origin.  The sliver [0, k0] below it is left out; the transform is
+refused if that sliver's mass, bounded by the state's coefficient sum
+times k0**(p+1) / (p+1), may exceed 1e-16 of the integrand's absolute
+mass (n = 2 and 3 at index 1/10, where p + 1 is 0.05).
 
 Reach: a Gauss-Legendre panel of width h resolves cos(kx) only while
 |x| h is small, so a transform is refused when some |x| h exceeds 8,
 that is |x| > 64 at K = 25 with 200 panels (128 with the panel count
-doubled, 55.2 at index 1/5).  Up to x = 64 the states n = 0, 1 at
-indices 1/2, 1 and 3/2 agree with an 800-panel rule to 1e-16 of their
-peak; at x = 100 they are off by 7e-14 and at x = 200 by 1e-8.
+doubled, 55.2 at index 1/5).  At x = 64 the states n = 0, 1 at indices
+1/2, 1 and 3/2 agree with an 800-panel rule to 8e-17 of their peak, and
+to 1.3e-15 (rounding) anywhere on |x| <= 64; past the reach, at x = 100
+they are off by 8e-14 and at x = 200 by 1.1e-8.
 
 The cos/sin kernel is never held whole: the sums run over blocks of 128
 x rows, so the transform's working memory is one block of 128 x nodes
@@ -56,11 +58,9 @@ the exact subcommands start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .kterms import FixedKExpr
 from .spectral import Grid, KState, ground_state
 
 if TYPE_CHECKING:
@@ -68,8 +68,9 @@ if TYPE_CHECKING:
 
 
 class QuadratureError(RuntimeError):
-    """A transform was refused: the state is not integrable at k = 0 or
-    overflows there, or some |x| is beyond the rule's reach."""
+    """A transform was refused: the state is not integrable at k = 0, the
+    sliver below the rule's deepest node may hold too much of its mass, or
+    some |x| is beyond the rule's reach."""
 
 
 #: ground-state mass the cutoff may leave beyond it
@@ -78,13 +79,14 @@ _TAIL_LIMIT = 1e-16
 _MIN_CUTOFF = 25
 #: Gauss-Legendre nodes on each panel after the first
 _GL_NODES = 16
-#: share of the integrand's absolute mass the origin cut aims to drop, and may drop at most
-_DROP_TARGET = 1e-17
+#: share of the integrand's absolute mass the sliver below the deepest node may hold
 _DROP_LIMIT = 1e-16
 #: largest |x| * panel width the rule resolves: 64 at the width 1/8 of K = 25, 200 panels
 _REACH = 8.0
 #: x rows whose cos/sin kernel is held at once
 _BLOCK_ROWS = 128
+#: |psi0_2| at or below which the non-Gaussianity ratio is nan: 1e-12 of its peak sqrt(2 pi)
+_GAUSS_TAIL = 1e-12 * math.sqrt(2 * math.pi)
 #: uniform panels covering [0, K]: 77 tanh-sinh nodes + 199 * 16 Gauss-Legendre = 3261
 PANEL_COUNT = 200
 #: tanh-sinh abscissae t = j * _TS_STEP, j = _TS_FIRST.._TS_LAST; at t = -6 the
@@ -129,44 +131,17 @@ def _nodes_and_weights(cutoff: int, panel_count: int) -> tuple[np.ndarray, np.nd
     return nodes, weights
 
 
-def _eval_fixed_on_positive(expr: FixedKExpr, ks: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on strictly positive ks (sgn factors are 1)."""
-    import numpy as np
-
-    out = np.zeros_like(ks)
-    for t in expr.terms:
-        out += float(t.coeff) * ks ** float(t.exponent)
-    return out
-
-
-@dataclass(frozen=True)
-class _Integrand:
-    """One state's weighted integrand on the rule's nodes.
-
-    ``value`` pairs with the kernel to give psi (the sign of the odd fold
-    included).  Nodes below ``first_finite`` overflowed.  The mass dropped
-    by cutting the rule at node k0 <= 1 is at most ``drop_coeff * k0**power``.
-    """
-
-    value: np.ndarray
-    mass: float
-    first_finite: int
-    power: float
-    drop_coeff: float
-
-    def dropped(self, k0: float) -> float:
-        return self.drop_coeff * k0**self.power
-
-    def first_kept(self, nodes: np.ndarray) -> int:
-        """Index of the largest node whose dropped sliver stays below _DROP_TARGET."""
-        share = min(1.0, _DROP_TARGET * self.mass / self.drop_coeff)
-        k_min = share ** (1 / self.power)
-        return max(int(nodes.searchsorted(k_min, side="right")) - 1, 0)
-
-
 def _integrand(
     state: KState, nodes: np.ndarray, weights: np.ndarray, x_reach: float
-) -> _Integrand:
+) -> np.ndarray:
+    """One state's weighted integrand on the rule's nodes, to pair with the kernel.
+
+    Each value is (w_j / k_j) * sum_i c_i k_j**(q_i + 1) * phi0(k_j),
+    negated on the odd fold; the module docstring says why no factor
+    overflows.  Refused when the state is not integrable at k = 0, when the
+    sliver below the deepest node may hold more than _DROP_LIMIT of the
+    integrand's absolute mass, or when some value is not finite.
+    """
     import numpy as np
 
     odd = state.n % 2
@@ -178,38 +153,27 @@ def _integrand(
             f"state n={state.n} at index {state.alpha} is not integrable at k=0"
         )
     e = float(state.ground_exponent)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = _eval_fixed_on_positive(amp, nodes) * np.exp(-(nodes**e) / e)
-    bad = np.flatnonzero(~np.isfinite(phi))
-    first = int(bad[-1]) + 1 if bad.size else 0
-    main = np.abs(phi[first:]) * weights[first:]
+    raised = np.zeros_like(nodes)
+    for t in amp.terms:
+        raised += float(t.coeff) * nodes ** float(t.exponent + 1)
+    value = weights / nodes * raised * np.exp(-(nodes**e) / e)
+    if not np.all(np.isfinite(value)):
+        raise QuadratureError(f"state n={state.n} at index {state.alpha}: integrand not finite")
+    mass = np.abs(value)
     if odd:
-        main *= np.minimum(1.0, nodes[first:] * x_reach)
+        mass *= np.minimum(1.0, nodes * x_reach)
+    # on [0, k0]: |A| <= coeff_sum * k**q_min and phi0 <= 1
     power = float(softened) + 1
     coeff_sum = sum(abs(float(t.coeff)) for t in amp.terms)
-    return _Integrand(
-        value=-(weights * phi) if odd else weights * phi,
-        mass=2.0 * float(np.sum(main)),
-        first_finite=first,
-        power=power,
-        drop_coeff=2.0 * coeff_sum * (x_reach if odd else 1.0) / power,
-    )
-
-
-def _first_node(states: Sequence[KState], parts: Sequence[_Integrand], nodes: np.ndarray) -> int:
-    """One origin cut for all states: deep enough for each, above every overflow."""
-    start = max(
-        min(p.first_kept(nodes) for p in parts), max(p.first_finite for p in parts)
-    )
-    for state, part in zip(states, parts):
-        share = part.dropped(float(nodes[start])) / part.mass
-        if share > _DROP_LIMIT:
-            raise QuadratureError(
-                f"state n={state.n} at index {state.alpha}: the sliver next to k=0 left "
-                f"out of the rule may hold {share:.1e} of the integrand's mass "
-                f"(limit {_DROP_LIMIT}), as its amplitude overflows there"
-            )
-    return start
+    sliver = coeff_sum * (x_reach if odd else 1.0) * float(nodes[0]) ** power / power
+    share = sliver / float(np.sum(mass))
+    if share > _DROP_LIMIT:
+        raise QuadratureError(
+            f"state n={state.n} at index {state.alpha}: the sliver next to k=0 below "
+            f"the rule's deepest node may hold {share:.1e} of the integrand's mass "
+            f"(limit {_DROP_LIMIT})"
+        )
+    return -value if odd else value
 
 
 def _fourier_sums(
@@ -262,9 +226,8 @@ def _transform(states: Sequence[KState], x_arr: np.ndarray, panel_count: int) ->
     nodes, weights = _nodes_and_weights(cutoff, panel_count)
     odd = states[0].n % 2 == 1
     x_reach = max(1.0, x_far) if odd else 1.0
-    parts = [_integrand(s, nodes, weights, x_reach) for s in states]
-    start = _first_node(states, parts, nodes)
-    return _fourier_sums(x_arr, nodes[start:], [p.value[start:] for p in parts], odd)
+    columns = [_integrand(s, nodes, weights, x_reach) for s in states]
+    return _fourier_sums(x_arr, nodes, columns, odd)
 
 
 def inverse_fourier(
@@ -275,7 +238,8 @@ def inverse_fourier(
     ``panel_count`` panels cover [0, K]; doubling it halves each panel.
     Raises ValueError for unordered or non-finite points or a count below 1,
     and QuadratureError when some |x| lies beyond the rule's reach (|x| *
-    panel width > 8), or the state is not integrable at k = 0 or overflows there.
+    panel width > 8), the state is not integrable at k = 0, or the sliver
+    below the rule's deepest node may hold more than 1e-16 of its mass.
     """
     x_arr = _x_array(xs)
     [psi] = _transform([state], x_arr, panel_count)
@@ -302,15 +266,15 @@ def nongaussianity_x(alpha, xs: Sequence[float]) -> Grid:
     """1 - psi0_alpha(x) / psi0_2(x) under one shared transform convention.
 
     Both ground states are even and go through one kernel pass on the same
-    nodes.  Points where |psi0_2| falls below 1e-12 of its peak are
-    reported as nan (the ratio is numerically meaningless in the deep tail).
+    nodes.  Points where |psi0_2| falls to 1e-12 of its peak sqrt(2 pi),
+    from |x| = 7.43 on, are reported as nan whatever grid they sit in (the
+    ratio is numerically meaningless in the deep tail).
     """
     x_arr = _x_array(xs)
     numer, denom = _transform([ground_state(alpha), ground_state(2)], x_arr, PANEL_COUNT)
-    peak = float(abs(denom).max()) if denom.size else 0.0
     out = []
     for num, den in zip(numer, denom):
-        if peak == 0.0 or abs(den) <= 1e-12 * peak:
+        if abs(den) <= _GAUSS_TAIL:
             out.append(complex(math.nan, 0.0))
         else:
             out.append(complex(1.0 - num / den, 0.0))

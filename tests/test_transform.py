@@ -203,6 +203,19 @@ class TestNonGaussianity:
         assert math.isnan(grid.values[1].real)
         assert grid.values[0] == 0
 
+    @pytest.mark.parametrize("alpha", [F(1, 5), F(1, 2), F(1), F(3, 2)], ids=str)
+    def test_nan_cut_independent_of_grid(self, alpha):
+        # psi0_2 falls to 1e-12 of its peak sqrt(2 pi) at |x| = 7.43, so the
+        # cut sits there whatever else the grid holds
+        xs = [-30.0, -9.0, -7.5, -7.3, 0.0, 7.3, 7.5, 9.0, 30.0]
+        whole = [v.real for v in nongaussianity_x(alpha, xs).values]
+        for sub in ([-9.0, 9.0], [7.5], [0.0, 7.5], [-7.5, -7.3], [9.0], [30.0], [7.3]):
+            part = nongaussianity_x(alpha, sub).values
+            for x, v in zip(sub, part):
+                assert math.isnan(v.real) == math.isnan(whole[xs.index(x)]), (x, sub)
+        for x, v in zip(xs, whole):
+            assert math.isnan(v) == (abs(x) >= 7.5), x
+
 
 class TestMomentOracle:
     """Quadrature against the 60-digit moment series, independent of any rule."""
@@ -218,7 +231,7 @@ class TestMomentOracle:
     @pytest.mark.parametrize(
         "alpha,n",
         [(F(1, 3), n) for n in range(4)] + [(F(1, 5), n) for n in range(3)]
-        + [(F(1, 10), n) for n in range(2)],
+        + [(F(1, 10), n) for n in range(2)] + [(F(1, 5), 3)],
     )
     def test_low_index_matches_moment_series(self, alpha, n):
         # below index 0.35 the cutoff grows past 25 to keep the tail under 1e-16
@@ -227,23 +240,48 @@ class TestMomentOracle:
         for x, v, (ref, scale) in zip(xs, grid.values, _moment_series(alpha, n, xs)):
             assert abs(v.real - ref) <= 1e-12 * scale, (x, v.real, ref)
 
-    def test_origin_overflow_refused_or_exact(self):
-        # k**-1.9 overflows at the deepest tanh-sinh nodes before the cut
-        # the state's exponent asks for
+    def test_origin_powers_kept_exact(self):
+        # k**-1.9 would overflow at the deepest tanh-sinh nodes; its
+        # weighted form k**-0.9 does not, and every node is kept
         xs = [0.0, 0.5, 1.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            try:
-                grid = inverse_fourier(excited_state(3, F(1, 5)), xs)
-            except QuadratureError as exc:
-                assert "next to k=0" in str(exc)
-                grid = None
-            # the even neighbour's k**-0.9 stays finite and is kept
-            even = inverse_fourier(excited_state(2, F(1, 5)), xs)
-        checks = [(2, even)] + ([(3, grid)] if grid is not None else [])
-        for n, g in checks:
-            for x, v, (ref, scale) in zip(xs, g.values, _moment_series(F(1, 5), n, xs)):
-                assert math.isfinite(v.real) and abs(v.real - ref) <= 1e-12 * scale
+            for n in (2, 3):
+                grid = inverse_fourier(excited_state(n, F(1, 5)), xs)
+                for x, v, (ref, scale) in zip(xs, grid.values, _moment_series(F(1, 5), n, xs)):
+                    assert math.isfinite(v.real) and abs(v.real - ref) <= 1e-12 * scale
+
+
+class TestOriginRule:
+    ALPHAS = [F(1, 10), F(1, 5), F(1, 3), F(1, 2), F(2, 3), F(1), F(5, 4), F(3, 2), F(7, 4), F(2)]
+    #: the only states n <= 20 at these indices the sliver bound refuses
+    SLIVER = {(F(1, 10), 2), (F(1, 10), 3)}
+
+    def test_integrand_finite_at_every_node(self):
+        # every state is either refused as not integrable or by the sliver
+        # bound, or has a finite weight times amplitude at all 3261 nodes,
+        # with no overflow on the way
+        for alpha in self.ALPHAS:
+            nodes, weights = transform._nodes_and_weights(
+                transform._cutoff(ground_state(alpha)), transform.PANEL_COUNT)
+            for n in range(21):
+                state = excited_state(n, alpha)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        column = transform._integrand(state, nodes, weights, 39.0)
+                    except QuadratureError as exc:
+                        sliver = (alpha, n) in self.SLIVER
+                        assert ("sliver" if sliver else "not integrable") in str(exc), (alpha, n)
+                        continue
+                assert (alpha, n) not in self.SLIVER
+                assert column.shape == nodes.shape and np.all(np.isfinite(column)), (alpha, n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_index_tenth_refused_by_sliver(self, n):
+        with pytest.raises(QuadratureError, match="sliver next to k=0") as info:
+            inverse_fourier(excited_state(n, F(1, 10)), [0.0, 1.0])
+        assert "overflow" not in str(info.value)
 
 
 class TestRowBlocks:
@@ -255,16 +293,16 @@ class TestRowBlocks:
         # which rows share a BLAS call, not the terms of any sum
         state = excited_state(n, F(1, 2))
         nodes, weights = transform._nodes_and_weights(25, transform.PANEL_COUNT)
-        part = transform._integrand(state, nodes, weights, 39.0)
-        start = transform._first_node([state], [part], nodes)
-        nodes, column = nodes[start:], part.value[start:]
+        column = transform._integrand(state, nodes, weights, 39.0)
+        # on the odd fold |sin kx| <= k |x| softens the origin powers
+        mass = 2 * np.sum(np.abs(column) * (np.minimum(1.0, 39.0 * nodes) if n % 2 else 1.0))
         trig = np.sin if n % 2 else np.cos
         for size in (1, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, top):
             xs = np.linspace(-39.0, 39.0, size) if size > 1 else np.array([0.7])
             blocked = transform._fourier_sums(xs, nodes, [column], n % 2 == 1)[0]
             kernel = np.outer(xs, nodes)
             dense = 2 * (trig(kernel, out=kernel) @ column)
-            assert np.max(np.abs(blocked - dense)) <= 1e-15 * part.mass
+            assert np.max(np.abs(blocked - dense)) <= 1e-15 * mass
 
     def test_memory_is_one_block(self):
         xs = list(np.linspace(-39.0, 39.0, 2001))
