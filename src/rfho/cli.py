@@ -163,11 +163,11 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     results = run_all()
     lines = (
-        f"{'INFO' if r.kind == 'info' else ('PASS' if r.passed else 'FAIL')} {r.name}: {r.detail}"
+        f"{'FAIL' if not r.passed else ('INFO' if r.kind == 'info' else 'PASS')} {r.name}: {r.detail}"
         for r in results
     )
     _write(args, [dataclasses.asdict(r) for r in results], lines)
-    return 1 if any(r.kind == "primary" and not r.passed for r in results) else 0
+    return 0 if all(r.passed for r in results) else 1
 
 
 # ---------------------------------------------------------------------------

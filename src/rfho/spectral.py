@@ -106,8 +106,8 @@ class Grid:
 class KState:
     """Eigenstate phi_n = i**n H_n(k) phi0(k) in k space, fixed by n and alpha.
 
-    alpha is made a Fraction and checked, then n; only then is ``hermite``
-    set to ``rf_hermite(n)``.
+    alpha is made a Fraction and checked, then n; H_n = ``rf_hermite(n)``
+    is looked up, from its cache, whenever the amplitude is needed.
     """
 
     n: int
@@ -117,7 +117,6 @@ class KState:
         object.__setattr__(self, "alpha", _as_fraction(self.alpha))
         _check_alpha(self.alpha)
         _check_index(self.n)
-        object.__setattr__(self, "hermite", rf_hermite(self.n))
 
     @property
     def ground_exponent(self) -> Fraction:
@@ -135,7 +134,7 @@ class KState:
         of H_n carries sgn(k)**(n mod 2), so phi_n is real and even for
         even n, imaginary and odd for odd n.
         """
-        h = self.hermite.expr.at_alpha(self.alpha)
+        h = rf_hermite(self.n).expr.at_alpha(self.alpha)
         return -h if self.n % 4 >= 2 else h
 
     def eval(self, k: float) -> complex:

@@ -14,6 +14,7 @@ code paths they check:
 Two known documented discrepancies are reported as "info" entries rather
 than failures: the |k|**(a-2) coefficient of the fourth Hermite member,
 and the scaling of the asymmetry correction to the local eigenvalues.
+Each still computes a check of its own and fails when that check does.
 The closed-form table for index 3/2 contains per-term mismatches against
 the moment oracle; these are itemized in the corresponding criterion's
 detail text (suspected transcription slips, not corrected).  Its three
@@ -71,7 +72,7 @@ F = Fraction
 class CriterionResult:
     name: str
     kind: str              # "primary" or "info"
-    passed: bool           # info entries always carry True
+    passed: bool           # False when the entry's own check fails, info entries too
     detail: str
 
 
@@ -79,8 +80,8 @@ def _result(name: str, ok: bool, detail: str) -> CriterionResult:
     return CriterionResult(name, "primary", ok, detail)
 
 
-def _info(name: str, detail: str) -> CriterionResult:
-    return CriterionResult(name, "info", True, detail)
+def _info(name: str, ok: bool, detail: str) -> CriterionResult:
+    return CriterionResult(name, "info", ok, detail)
 
 
 N_MAX = 12
@@ -230,9 +231,10 @@ def info_hermite4() -> CriterionResult:
     # ladder step from it tells the two coefficients apart; p_2 is the
     # |k|^(a-2) coefficient
     step = extract_p_coefficients(ladder_next(RFHermite(3, _printed_h123()[2])))[2]
-    status = "matches the recurrence" if step == H4_COEFF_RECURRENCE else "LADDER CHECK FAILED"
+    ok = step == H4_COEFF_RECURRENCE
+    status = "matches the recurrence" if ok else "LADDER CHECK FAILED"
     return _info(
-        "hermite4-coefficient",
+        "hermite4-coefficient", ok,
         "fourth member, |k|^(a-2) term: recurrence gives "
         f"{H4_COEFF_RECURRENCE} [= 6a(a-1)+4(a/2)(a/2-1)], transcribed source gives "
         f"{H4_COEFF_PRINTED} [= 6a(a-1)+2(a/2)(a/2-1)]; both equal "
@@ -295,7 +297,7 @@ def info_theta_term() -> CriterionResult:
         checked.append(ok)
     status = "verified symbolically for n<=3" if all(checked) else "SYMBOLIC CHECK FAILED"
     return _info(
-        "theta-correction-scaling",
+        "theta-correction-scaling", all(checked),
         "fully skewed minus symmetric eigenvalue equals (i sgn(k) - 1) |k|^a / a for every n "
         f"({status}); the alternative per-n forms (i sgn - 1)|k|^((2n+2)a/2) resp. "
         "(2n+1)a/2 describe the leading numerator term before division by H_n and "

@@ -2,7 +2,8 @@
 
 Run with -s to see the lines as they execute; each test also asserts, so
 a red criterion fails the suite. The two documented-discrepancy entries
-are informational by design and are checked to stay that way.
+are informational by design and are checked to stay that way; each still
+fails, and fails ``validate``, when its own check does.
 """
 
 from dataclasses import replace
@@ -11,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from rfho import validation as v
+from rfho.cli import main
 from rfho.hermite import LADDER_FACTOR, rf_hermite
 from rfho.kterms import AlphaPoly, KExpr
 from rfho.transform import Grid
@@ -239,6 +241,43 @@ def test_info_hermite4_reports_both_coefficients():
     assert str(v.H4_COEFF_PRINTED) in detail
     # computed in the entry: one ladder step from the transcribed H_3
     assert f"gives {v.H4_COEFF_RECURRENCE} (matches the recurrence)" in detail
+
+
+def _h4_step_off_by_one(monkeypatch):
+    # the ladder step's |k|^(a-2) coefficient no longer matches the recurrence
+    original = v.extract_p_coefficients
+
+    def faulty(h):
+        p = original(h)
+        return [*p[:2], p[2] + AlphaPoly.of(1), *p[3:]]
+
+    monkeypatch.setattr(v, "extract_p_coefficients", faulty)
+
+
+def _skew_with_extra_one(monkeypatch):
+    # the fully skewed eigenvalues carry an extra +1 in their imaginary numerator
+    original = v.local_eigenvalue
+
+    def faulty(n, alpha, theta=0):
+        lam = original(n, alpha, theta)
+        if theta != 1:
+            return lam
+        return replace(lam, im_num=lam.im_num + KExpr.one())
+
+    monkeypatch.setattr(v, "local_eigenvalue", faulty)
+
+
+@pytest.mark.parametrize("name,entry,mutate", [
+    ("hermite4-coefficient", v.info_hermite4, _h4_step_off_by_one),
+    ("theta-correction-scaling", v.info_theta_term, _skew_with_extra_one),
+])
+def test_info_entry_fails_its_own_check(monkeypatch, capsys, name, entry, mutate):
+    mutate(monkeypatch)
+    result = entry()
+    assert result.kind == "info" and result.passed is False
+    assert main(["validate"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in fails] == [f"FAIL {name}"]
 
 
 def _family_with_sign_error(n_max: int) -> list[KExpr]:
