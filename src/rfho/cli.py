@@ -85,13 +85,11 @@ def _write(args: argparse.Namespace, obj, lines) -> None:
 
 def _write_grid(args: argparse.Namespace, grid: Grid) -> int:
     """Write a sample as columns (JSON) or as rows under ``<axis>,re,im`` (CSV); exit code 0."""
-    obj = {
-        "axis": grid.axis_label,
-        "points": list(grid.points),
-        "re": [v.real for v in grid.values],
-        "im": [v.imag for v in grid.values],
-    }
-    rows = (f"{_fmt(p)},{_fmt(v.real)},{_fmt(v.imag)}" for p, v in zip(grid.points, grid.values))
+    # the one place that clears -0: + 0.0 turns -0.0 into 0.0
+    re = [v.real + 0.0 for v in grid.values]
+    im = [v.imag + 0.0 for v in grid.values]
+    obj = {"axis": grid.axis_label, "points": list(grid.points), "re": re, "im": im}
+    rows = (f"{_fmt(p)},{_fmt(r)},{_fmt(i)}" for p, r, i in zip(grid.points, re, im))
     _write(args, obj, itertools.chain((f"{grid.axis_label},re,im",), rows))
     return 0
 

@@ -455,34 +455,26 @@ class FixedKExpr(_TermSum):
         return FixedKExpr._merge(((e - 1, 1 - p), c * e) for (e, p), c in self._pairs())
 
     def eval(self, k: float) -> float:
-        """Pointwise value with sgn(0) = 0; k = 0 with a negative exponent raises DomainError."""
+        """Pointwise value, one loop for every k, with sgn(0) = 0 and 0**0 = 1.
+
+        At k = 0 a negative ``min_exponent`` raises DomainError.  The value
+        may be -0.0 (c * sgn(k) for c < 0); the CLI writer prints 0.
+        """
         kf = float(k)
-        if kf == 0.0:
-            total = 0.0
-            for t in self.terms:
-                if t.exponent < 0:
-                    raise DomainError(
-                        f"|k|^({t.exponent}) diverges at k = 0"
-                    )
-                if t.exponent == 0 and t.sgn_parity == 0:
-                    total += float(t.coeff)
-                # exponent > 0 contributes 0; any sgn factor contributes 0
-            return total
-        sign = 1.0 if kf > 0 else -1.0
+        if kf == 0.0 and (self.min_exponent or 0) < 0:
+            raise DomainError(f"|k|^({self.min_exponent}) diverges at k = 0")
+        sign = (kf > 0) - (kf < 0)
         mag = abs(kf)
         parts = []
         for t in self.terms:
             v = float(t.coeff) * mag ** float(t.exponent)
-            if t.sgn_parity and sign < 0:
-                v = -v
-            parts.append(v)
+            parts.append(v * sign if t.sgn_parity else v)
         return math.fsum(parts)
 
     @property
     def min_exponent(self) -> Fraction | None:
-        if not self.terms:
-            return None
-        return min(t.exponent for t in self.terms)
+        """The last term's exponent: the terms are sorted descending."""
+        return self.terms[-1].exponent if self.terms else None
 
     def to_json_obj(self) -> list[dict]:
         return [

@@ -66,17 +66,12 @@ def half_turn(theta) -> tuple[float, float]:
 def symbol_eval(order, asymmetry, k: float) -> complex:
     """Power symbol |k|**order * exp(i sgn(k) asymmetry pi/2) at one point.
 
-    Raises DomainError at k = 0 for a negative order, where it diverges.
+    |k|**order is ``FixedKExpr.eval``'s, so k = 0 under a negative order
+    raises DomainError; there sgn(0) = 0 makes the phase 1.
     """
-    q = _as_fraction(order)
-    kf = float(k)
-    if kf == 0.0:
-        if q < 0:
-            raise DomainError("negative-order symbol diverges at k = 0")
-        return 0j if q > 0 else complex(1.0)
-    cos, sin = half_turn(asymmetry)
-    mag = abs(kf) ** float(q)
-    return complex(mag * cos, mag * sin if kf > 0 else -mag * sin)
+    mag = FixedKExpr.monomial(1, 0, order).eval(k)
+    cos, sin = half_turn(asymmetry) if k else (1, 0)
+    return complex(mag * cos, mag * sin if k > 0 else -mag * sin)
 
 
 def _check_alpha(alpha: Fraction) -> None:
@@ -106,8 +101,9 @@ class Grid:
 class KState:
     """Eigenstate phi_n = i**n H_n(k) phi0(k) in k space, fixed by n and alpha.
 
-    alpha is made a Fraction and checked, then n; H_n = ``rf_hermite(n)``
-    is looked up, from its cache, whenever the amplitude is needed.
+    alpha is made a Fraction and checked, then n; H_n is ``rf_hermite(n)``,
+    looked up from its cache for each amplitude.  ``eval`` may return -0.0
+    (a negative amplitude times an underflowed phi0); the CLI writer prints 0.
     """
 
     n: int
@@ -138,8 +134,7 @@ class KState:
         return -h if self.n % 4 >= 2 else h
 
     def eval(self, k: float) -> complex:
-        # + 0.0 and a literal zero part: a product such as 0 * v is -0 for v < 0
-        v = self.amplitude().eval(k) * self.ground_value(k) + 0.0
+        v = self.amplitude().eval(k) * self.ground_value(k)
         return complex(0.0, v) if self.n % 2 else complex(v, 0.0)
 
 
@@ -186,6 +181,8 @@ class LocalEigenvalue:
 
     den = a * H_n, so lam_n has poles exactly at the amplitude zeros of
     phi_n (and possibly at k = 0 through negative powers in the numerator).
+    ``eval`` raises ZeroDivisionError at a pole and DomainError at k = 0
+    under a negative power; a part may be -0.0 (0 / d for d < 0).
     """
 
     n: int
@@ -201,11 +198,9 @@ class LocalEigenvalue:
 
     def eval(self, k: float) -> complex:
         d = self.den.at_alpha(self.alpha).eval(k)
-        if d == 0.0:
-            raise ZeroDivisionError(f"local eigenvalue pole at k = {k}")
         re = self.re_num.at_alpha(self.alpha).eval(k)
         im = self.im_num.at_alpha(self.alpha).eval(k)
-        return complex(re / d, im / d if im else 0.0)  # a literal 0: 0 / d is -0 for d < 0
+        return complex(re / d, im / d)
 
 
 def local_eigenvalue(n: int, alpha, theta=0) -> LocalEigenvalue:
@@ -259,8 +254,8 @@ def sample_local_eigenvalue(n: int, alpha, theta, ks: Sequence[float]) -> Grid:
     asymmetry correction (exp(i sgn(k) theta pi/2) - 1) |k|**a / a, which
     is how theta enters the multiplication symbol.  Singular points are
     left out, as in ``sample_regular``; returns their k-axis Grid.
-    The phase comes from ``half_turn``; where it is 1 nothing is added,
-    so the values are those of ``LocalEigenvalue.eval``.
+    The phase comes from ``half_turn``; where it is 1 nothing is added (not
+    even |k|**a, which may overflow), so the values are ``LocalEigenvalue.eval``'s.
     """
     a = float(_as_fraction(alpha))
     cos, sin = half_turn(theta)
@@ -269,10 +264,8 @@ def sample_local_eigenvalue(n: int, alpha, theta, ks: Sequence[float]) -> Grid:
 
     def lam(k: float) -> complex:
         value = base.eval(k)
-        kf = float(k)
-        if kf != 0.0 and skewed:
-            sign = 1.0 if kf > 0 else -1.0
-            value += (complex(cos, sign * sin) - 1.0) * abs(kf) ** a / a
+        if skewed:
+            value += (complex(cos, sin if k > 0 else -sin) - 1.0) * abs(float(k)) ** a / a
         return value
 
     return sample_regular(lam, ks)

@@ -251,13 +251,13 @@ def nongaussianity_k(alpha, ks: Sequence[float]) -> Grid:
     """1 - phi0_alpha(k) / phi0_2(k) on a k grid: 0 at index 2, ValueError outside (0, 2].
 
     Written as -expm1(k^2/2 - |k|^e/e), which keeps its digits as the
-    exponent tends to 0 with k; ``0.0 -`` gives +0.0, not -0.0, at index 2.
-    OverflowError once the exponent passes about 709.
+    exponent tends to 0 with k; at index 2 that is -0.0, which the CLI
+    writer prints as 0.  OverflowError once the exponent passes about 709.
     """
     e = float(ground_state(alpha).ground_exponent)
     pts = tuple(float(k) for k in ks)
     values = tuple(
-        complex(0.0 - math.expm1(k * k / 2 - abs(k) ** e / e), 0.0) for k in pts
+        complex(-math.expm1(k * k / 2 - abs(k) ** e / e), 0.0) for k in pts
     )
     return Grid("k", pts, values)
 

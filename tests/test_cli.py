@@ -1,5 +1,6 @@
 """Command line behavior: parsing, emission formats, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import rfho
-from rfho.cli import MAX_POINTS, _grid, main
+from rfho.cli import MAX_POINTS, _grid, _write_grid, main
+from rfho.spectral import Grid
 
 
 def run(capsys, *argv):
@@ -405,6 +407,19 @@ class TestOneWriter:
         columns = list(zip(obj["points"], obj["re"], obj["im"]))
         # float.hex tells -0.0 from 0.0 and matches nan with nan
         assert [[v.hex() for v in row] for row in table] == [[v.hex() for v in row] for row in columns]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_clears_negative_zero(self, capsys, fmt):
+        # a library value may be -0.0 (0 / d for d < 0); the writer prints 0
+        grid = Grid("k", (-1.0,), (complex(-0.0, -0.0),))
+        assert _write_grid(argparse.Namespace(format=fmt, out=None), grid) == 0
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            assert out == "k,re,im\n-1,0,0\n"
+        else:
+            obj = json.loads(out)
+            assert [math.copysign(1.0, obj[c][0]) for c in ("re", "im")] == [1.0, 1.0]
+
 
 _COLD_START = """
 import contextlib, io, sys
