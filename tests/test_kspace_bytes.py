@@ -2,9 +2,10 @@
 
 About 1,440 in-process calls: ``state`` and ``eigenvalue`` (at four skews)
 for seven levels at eight indices on five grids, and ``nongauss`` in k at
-the same indices and grids. The grids reach the origin, an underflowed
-ground state, an overflowing eigenvalue and an eigenvalue pole. x space is
-left out: its last digits follow the BLAS summation order.
+the same indices and grids. The grids reach the origin (negative powers of
+|k|, and the pole of the odd eigenvalues), an underflowed ground state and
+overflow at |k| = 1e200. x space is left out: its last digits follow the
+BLAS summation order.
 
 Run as a script to print the digests, e.g. to compare two checkouts::
 
