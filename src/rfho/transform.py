@@ -162,10 +162,12 @@ def _integrand(
     mass = np.abs(value)
     if odd:
         mass *= np.minimum(1.0, nodes * x_reach)
-    # on [0, k0]: |A| <= coeff_sum * k**q_min and phi0 <= 1
-    power = float(softened) + 1
+    # on [0, k0]: |A| <= coeff_sum * k**q_min and phi0 <= 1; p + 1 is formed
+    # exactly, and one that underflows to 0.0 leaves the sliver unbounded
+    power = float(softened + 1)
     coeff_sum = sum(abs(float(t.coeff)) for t in amp.terms)
-    sliver = coeff_sum * (x_reach if odd else 1.0) * float(nodes[0]) ** power / power
+    sliver = coeff_sum * (x_reach if odd else 1.0) * float(nodes[0]) ** power
+    sliver = sliver / power if power else math.inf
     share = sliver / float(np.sum(mass))
     if share > _DROP_LIMIT:
         raise QuadratureError(

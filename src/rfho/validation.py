@@ -1,8 +1,10 @@
 """Executable verification suite: every shipped claim as a pass/fail check.
 
-Each criterion is a function returning a CriterionResult; ``run_all``
-collects them in a fixed order.  Oracles used here are independent of the
-code paths they check:
+Each criterion returns ``(passed, detail)`` under ``@_criterion(name, kind)``,
+which builds its CriterionResult; one that raises reads as failed, with the
+detail ``raised Type: message``, and the others are still reported.
+``run_all`` looks each up by module attribute and runs them in a fixed
+order.  Oracles used here are independent of the code paths they check:
 
 * the classical Hermite family is rebuilt from the plain three-term
   recurrence on integer coefficient lists,
@@ -32,8 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, wraps
+from typing import Callable, Sequence
 
 from .hermite import (
     RFHermite,
@@ -76,12 +78,20 @@ class CriterionResult:
     detail: str
 
 
-def _result(name: str, ok: bool, detail: str) -> CriterionResult:
-    return CriterionResult(name, "primary", ok, detail)
+def _criterion(name: str, kind: str = "primary"):
+    """Build the CriterionResult of a check returning ``(passed, detail)``, or of its raise."""
+    def wrap(check: Callable[[], tuple[bool, str]]) -> Callable[[], CriterionResult]:
+        @wraps(check)
+        def run() -> CriterionResult:
+            try:
+                passed, detail = check()
+            except Exception as exc:
+                return CriterionResult(name, kind, False, f"raised {type(exc).__name__}: {exc}")
+            return CriterionResult(name, kind, passed, detail)
 
+        return run
 
-def _info(name: str, ok: bool, detail: str) -> CriterionResult:
-    return CriterionResult(name, "info", ok, detail)
+    return wrap
 
 
 N_MAX = 12
@@ -118,21 +128,16 @@ def _default_family() -> list[KExpr]:
 # ---------------------------------------------------------------------------
 # symbolic criteria
 
-def crit_ladder_rodrigues() -> CriterionResult:
+@_criterion("ladder-rodrigues")
+def crit_ladder_rodrigues() -> tuple[bool, str]:
     exprs = _default_family()
     h = RFHermite(0, KExpr.one())
     for n, expr in enumerate(exprs):
         if n:
             h = ladder_next(h)
         if expr != h.expr:
-            return _result(
-                "ladder-rodrigues", False,
-                f"lattice and Rodrigues builds differ at n={n}",
-            )
-    return _result(
-        "ladder-rodrigues", True,
-        f"exact symbolic agreement for n=0..{len(exprs) - 1}",
-    )
+            return False, f"lattice and Rodrigues builds differ at n={n}"
+    return True, f"exact symbolic agreement for n=0..{len(exprs) - 1}"
 
 
 def _classical_hermite(n: int) -> list[int]:
@@ -145,25 +150,21 @@ def _classical_hermite(n: int) -> list[int]:
     return h
 
 
-def crit_classical_reduction() -> CriterionResult:
+@_criterion("classical-reduction")
+def crit_classical_reduction() -> tuple[bool, str]:
     exprs = _default_family()
     for n, expr in enumerate(exprs):
         try:
             reduced = standard_reduction(RFHermite(n, expr))
         except StructureError as exc:
-            return _result("classical-reduction", False, f"no index-2 reduction at n={n}: {exc}")
+            return False, f"no index-2 reduction at n={n}: {exc}"
         if reduced != _classical_hermite(n):
-            return _result(
-                "classical-reduction", False,
-                f"index-2 reduction disagrees with the three-term oracle at n={n}",
-            )
-    return _result(
-        "classical-reduction", True,
-        f"index-2 reduction equals the three-term oracle for n=0..{len(exprs) - 1}",
-    )
+            return False, f"index-2 reduction disagrees with the three-term oracle at n={n}"
+    return True, f"index-2 reduction equals the three-term oracle for n=0..{len(exprs) - 1}"
 
 
-def crit_parity_reality() -> CriterionResult:
+@_criterion("parity-reality")
+def crit_parity_reality() -> tuple[bool, str]:
     """Every term of H_n carries sgn(k)**(n mod 2).
 
     That premise makes phi_n = i**n H_n phi0 real and even or imaginary and
@@ -172,9 +173,9 @@ def crit_parity_reality() -> CriterionResult:
     exprs = _default_family()
     for n, expr in enumerate(exprs):
         if any(t.sgn_parity != n % 2 for t in expr.terms):
-            return _result("parity-reality", False, f"H_{n} has a term of sgn parity {1 - n % 2}")
-    return _result(
-        "parity-reality", True,
+            return False, f"H_{n} has a term of sgn parity {1 - n % 2}"
+    return (
+        True,
         f"every term of H_n carries sgn(k)^(n mod 2) for n=0..{len(exprs) - 1}: "
         "psi_n is a real cos (even n) or sin (odd n) transform",
     )
@@ -205,36 +206,35 @@ def _printed_h4() -> KExpr:
     )
 
 
-def crit_printed_family() -> CriterionResult:
+@_criterion("printed-family")
+def crit_printed_family() -> tuple[bool, str]:
     for n, printed in enumerate(_printed_h123(), start=1):
         if rf_hermite(n).expr != printed:
-            return _result("printed-family", False, f"member {n} differs from the transcribed form")
+            return False, f"member {n} differs from the transcribed form"
     ours = rf_hermite(4).expr
     printed4 = _printed_h4()
     diff = ours - printed4
     expected_diff = KExpr.monomial(H4_COEFF_RECURRENCE - H4_COEFF_PRINTED, 0, 2, -2)
     if diff != expected_diff:
-        return _result(
-            "printed-family", False,
-            "member 4 differs from the transcribed form beyond the documented coefficient",
-        )
+        return False, "member 4 differs from the transcribed form beyond the documented coefficient"
     if H4_COEFF_RECURRENCE.eval(F(2)) != H4_COEFF_PRINTED.eval(F(2)):
-        return _result("printed-family", False, "the two member-4 variants disagree at index 2")
-    return _result(
-        "printed-family", True,
+        return False, "the two member-4 variants disagree at index 2"
+    return (
+        True,
         "members 1-3 exact; member 4 differs only in the documented coefficient (see info entry)",
     )
 
 
-def info_hermite4() -> CriterionResult:
+@_criterion("hermite4-coefficient", kind="info")
+def info_hermite4() -> tuple[bool, str]:
     # the transcribed third member is exact (crit_printed_family), so one
     # ladder step from it tells the two coefficients apart; p_2 is the
     # |k|^(a-2) coefficient
     step = extract_p_coefficients(ladder_next(RFHermite(3, _printed_h123()[2])))[2]
     ok = step == H4_COEFF_RECURRENCE
     status = "matches the recurrence" if ok else "LADDER CHECK FAILED"
-    return _info(
-        "hermite4-coefficient", ok,
+    return (
+        ok,
         "fourth member, |k|^(a-2) term: recurrence gives "
         f"{H4_COEFF_RECURRENCE} [= 6a(a-1)+4(a/2)(a/2-1)], transcribed source gives "
         f"{H4_COEFF_PRINTED} [= 6a(a-1)+2(a/2)(a/2-1)]; both equal "
@@ -260,29 +260,28 @@ def _printed_eigen_forms() -> list[tuple[KExpr, KExpr]]:
     return [l0, l1, (l2_num, l2_den)]
 
 
-def crit_eigenvalues() -> CriterionResult:
+@_criterion("eigenvalues")
+def crit_eigenvalues() -> tuple[bool, str]:
     for n, (p_num, p_den) in enumerate(_printed_eigen_forms()):
         lam = local_eigenvalue(n, F(1), 0)
         if not lam.im_num.is_zero:
-            return _result("eigenvalues", False, f"symmetric eigenvalue {n} has an imaginary part")
+            return False, f"symmetric eigenvalue {n} has an imaginary part"
         if lam.re_num * p_den != p_num * lam.den:
-            return _result(
-                "eigenvalues", False,
-                f"eigenvalue {n} differs from the transcribed form (cross-multiplied)",
-            )
+            return False, f"eigenvalue {n} differs from the transcribed form (cross-multiplied)"
     for n in range(6):
         lam = local_eigenvalue(n, F(2), 0)
         want = lam.den.at_alpha(F(2)).scale(F(2 * n + 1, 2))
         if lam.re_num.at_alpha(F(2)) != want or not lam.im_num.is_zero:
-            return _result("eigenvalues", False, f"index-2 eigenvalue {n} is not {n} + 1/2")
-    return _result(
-        "eigenvalues", True,
+            return False, f"index-2 eigenvalue {n} is not {n} + 1/2"
+    return (
+        True,
         "first three symmetric eigenvalues match the transcribed forms exactly; "
         "index 2 gives n + 1/2 for n <= 5",
     )
 
 
-def info_theta_term() -> CriterionResult:
+@_criterion("theta-correction-scaling", kind="info")
+def info_theta_term() -> tuple[bool, str]:
     # exact difference between the fully skewed and symmetric eigenvalues
     checked = []
     for n in range(4):
@@ -296,8 +295,8 @@ def info_theta_term() -> CriterionResult:
         )
         checked.append(ok)
     status = "verified symbolically for n<=3" if all(checked) else "SYMBOLIC CHECK FAILED"
-    return _info(
-        "theta-correction-scaling", all(checked),
+    return (
+        all(checked),
         "fully skewed minus symmetric eigenvalue equals (i sgn(k) - 1) |k|^a / a for every n "
         f"({status}); the alternative per-n forms (i sgn - 1)|k|^((2n+2)a/2) resp. "
         "(2n+1)a/2 describe the leading numerator term before division by H_n and "
@@ -305,61 +304,59 @@ def info_theta_term() -> CriterionResult:
     )
 
 
-def crit_kernel() -> CriterionResult:
+@_criterion("kernel")
+def crit_kernel() -> tuple[bool, str]:
     if not ground_kernel_residual().is_zero:
-        return _result("kernel", False, "symbolic lowering residue is not identically zero")
+        return False, "symbolic lowering residue is not identically zero"
     worst = 0.0
     for a in _TEST_ALPHAS:
         for k in (0.3, -0.3, 1.0, -1.0, 2.5, -2.5):
             worst = max(worst, abs(kernel_residual_at(a, k)))
     ok, limit = _gate("kernel", worst)
-    return _result("kernel", ok, f"max |lowering residue| = {worst:.2e} (limit {limit})")
+    return ok, f"max |lowering residue| = {worst:.2e} (limit {limit})"
 
 
-def crit_factorization() -> CriterionResult:
+@_criterion("factorization")
+def crit_factorization() -> tuple[bool, str]:
     for a in _TEST_ALPHAS:
         eps = scaled_remainder(a)
         if eps != OpExpr.word(F(1, 2), 0, a / 2 - 1):
-            return _result("factorization", False, f"scaled remainder at order {a} is not (1/2)D^(a/2-1)")
+            return False, f"scaled remainder at order {a} is not (1/2)D^(a/2-1)"
         product = (raising_op(a) * lowering_op(a)).scale(1 / a)
         if product + eps != oscillator_op(a).scale(1 / a):
-            return _result("factorization", False, f"product-plus-remainder identity fails at order {a}")
+            return False, f"product-plus-remainder identity fails at order {a}"
     for d, g in ((F(1), F(2)), (F(3, 2), F(1)), (F(2), F(2))):
         _, fwd = compose_factorization(d, g)
         if fwd != remainder_forward_closed(g, d):
-            return _result("factorization", False, f"forward remainder at (d,g)=({d},{g}) off closed form")
+            return False, f"forward remainder at (d,g)=({d},{g}) off closed form"
         rev = reverted_factorization(d, g)
         if rev != remainder_reverted_closed(d, g):
-            return _result("factorization", False, f"reverted remainder at (d,g)=({d},{g}) off closed form")
+            return False, f"reverted remainder at (d,g)=({d},{g}) off closed form"
     for a in _TEST_ALPHAS:
         _, fwd = compose_factorization(a, a)
         if fwd != OpExpr.word(a / 2, 0, a / 2 - 1) or fwd != reverted_factorization(a, a):
-            return _result("factorization", False, f"equal-order remainders do not collapse at {a}")
-    return _result(
-        "factorization", True,
-        "product identities, closed-form remainders, and equal-order collapse all exact",
-    )
+            return False, f"equal-order remainders do not collapse at {a}"
+    return True, "product identities, closed-form remainders, and equal-order collapse all exact"
 
 
 # ---------------------------------------------------------------------------
 # numeric criteria
 
-def crit_gaussian_identity() -> CriterionResult:
+@_criterion("gaussian-identity")
+def crit_gaussian_identity() -> tuple[bool, str]:
     xs = [4.0 * i / 99 for i in range(100)]
     worst = max(abs(math.exp(-x * x / 2) - g) for x, g in zip(xs, gaussian_values(xs)))
     ok, limit = _gate("gaussian-identity", worst)
-    return _result("gaussian-identity", ok, f"max |residual| = {worst:.2e} on [0,4] (limit {limit})")
+    return ok, f"max |residual| = {worst:.2e} on [0,4] (limit {limit})"
 
 
-def crit_calibration() -> CriterionResult:
+@_criterion("transform-calibration")
+def crit_calibration() -> tuple[bool, str]:
     psi = inverse_fourier(ground_state(1), [0.0])
     a0 = float(closed_form_psi0(F(1)).a_values()[0])
     rel = abs(psi.values[0].real - a0) / a0
     ok, limit = _gate("transform-calibration", rel)
-    return _result(
-        "transform-calibration", ok,
-        f"psi0(0) vs closed-form anchor: relative error {rel:.2e} (limit {limit})",
-    )
+    return ok, f"psi0(0) vs closed-form anchor: relative error {rel:.2e} (limit {limit})"
 
 
 def _closed_form_mismatch(alpha: Fraction):
@@ -375,13 +372,11 @@ def _closed_form_mismatch(alpha: Fraction):
     return grid, table, worst
 
 
-def crit_closed_form_alpha1() -> CriterionResult:
+@_criterion("closed-form-index-1")
+def crit_closed_form_alpha1() -> tuple[bool, str]:
     _, _, worst = _closed_form_mismatch(F(1))
     ok, limit = _gate("closed-form-index-1", worst)
-    return _result(
-        "closed-form-index-1", ok,
-        f"max relative-to-peak mismatch {worst:.2e} on [0,3] (limit {limit})",
-    )
+    return ok, f"max relative-to-peak mismatch {worst:.2e} on [0,3] (limit {limit})"
 
 
 def _mpq(v: Fraction):
@@ -475,7 +470,8 @@ def _moment_series(alpha: Fraction, n: int, xs: Sequence[float]) -> list[tuple[f
     return out
 
 
-def crit_closed_form_alpha32() -> CriterionResult:
+@_criterion("closed-form-index-3/2")
+def crit_closed_form_alpha32() -> tuple[bool, str]:
     grid, table, overall = _closed_form_mismatch(F(3, 2))
     overall_ok, overall_limit = _gate("closed-form-index-3/2 overall", overall)
 
@@ -504,30 +500,31 @@ def crit_closed_form_alpha32() -> CriterionResult:
     )
     if not low_ok:
         detail += f"; lowest three terms off the moment oracle by {low:.2e} (limit {low_limit})"
-    return _result("closed-form-index-3/2", converged and low_ok, detail)
+    return converged and low_ok, detail
 
 
-def crit_nongaussianity() -> CriterionResult:
+@_criterion("non-gaussianity")
+def crit_nongaussianity() -> tuple[bool, str]:
     ks = [i * 0.05 for i in range(1, 35)]            # (0, 1.7]
     flat_k = nongaussianity_k(F(2), [i * 0.25 - 3.0 for i in range(25)])
     if any(v != 0 for v in flat_k.values):
-        return _result("non-gaussianity", False, "k-space measure at index 2 is not exactly zero")
+        return False, "k-space measure at index 2 is not exactly zero"
     xs = [i * 0.25 for i in range(13)]
     flat_x = nongaussianity_x(F(2), xs)
     if any(v != 0 for v in flat_x.values):
-        return _result("non-gaussianity", False, "x-space measure at index 2 is not exactly zero")
+        return False, "x-space measure at index 2 is not exactly zero"
     eta1 = [v.real for v in nongaussianity_k(F(1), ks).values]
     if not all(v > 0 for v in eta1):
-        return _result("non-gaussianity", False, "index-1 k-space measure not positive below the crossing")
+        return False, "index-1 k-space measure not positive below the crossing"
     ks_unit = [k for k in ks if k <= 1.0]
     eta32 = [v.real for v in nongaussianity_k(F(3, 2), ks_unit).values]
     ordered = all(
         a > b > 0 for a, b in zip(eta1[: len(ks_unit)], eta32)
     )
     if not ordered:
-        return _result("non-gaussianity", False, "index ordering 1 > 3/2 > 2 fails on (0, 1]")
-    return _result(
-        "non-gaussianity", True,
+        return False, "index ordering 1 > 3/2 > 2 fails on (0, 1]"
+    return (
+        True,
         "index-2 measures exactly zero; index-1 positive below the crossing; ordering holds on (0, 1]",
     )
 

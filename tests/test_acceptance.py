@@ -14,8 +14,9 @@ import pytest
 from rfho import validation as v
 from rfho.cli import main
 from rfho.hermite import LADDER_FACTOR, rf_hermite
+from rfho.hyper import ConvergenceError
 from rfho.kterms import AlphaPoly, KExpr
-from rfho.transform import Grid
+from rfho.transform import Grid, QuadratureError
 
 
 def _report(result):
@@ -280,6 +281,31 @@ def test_info_entry_fails_its_own_check(monkeypatch, capsys, name, entry, mutate
     assert [line.split(":")[0] for line in fails] == [f"FAIL {name}"]
 
 
+def _raise(exc):
+    def stand_in(*args, **kwargs):
+        raise exc
+    return stand_in
+
+
+@pytest.mark.parametrize("name,exc,failing", [
+    ("gaussian_values", ConvergenceError("no convergence"), ["gaussian-identity"]),
+    # the three entries that transform through validation's own reference
+    ("inverse_fourier", QuadratureError("refused"),
+     ["transform-calibration", "closed-form-index-1", "closed-form-index-3/2"]),
+])
+def test_raising_check_reads_fail(monkeypatch, capsys, name, exc, failing):
+    monkeypatch.setattr(v, name, _raise(exc))
+    assert main(["validate"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 14
+    detail = f"raised {type(exc).__name__}: {exc}"
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL {entry}: {detail}" for entry in failing
+    ]
+
+
 def _family_with_sign_error(n_max: int) -> list[KExpr]:
     # ladder with the derivative added instead of subtracted
     exprs = [KExpr.one()]
@@ -402,9 +428,27 @@ def test_moment_at_index2_is_the_gaussian_moment(p):
         assert abs(v._moment(F(2), p) - want) <= mp.mpf(10) ** -55 * want
 
 
-def test_run_all_shape():
+def test_run_all_shape(monkeypatch):
     results = v.run_all()
-    assert len(results) == 14
-    assert len({r.name for r in results}) == 14
-    assert sum(r.kind == "primary" for r in results) == 12
+    assert [(r.name, r.kind) for r in results] == [
+        ("ladder-rodrigues", "primary"),
+        ("classical-reduction", "primary"),
+        ("printed-family", "primary"),
+        ("eigenvalues", "primary"),
+        ("kernel", "primary"),
+        ("factorization", "primary"),
+        ("gaussian-identity", "primary"),
+        ("transform-calibration", "primary"),
+        ("closed-form-index-1", "primary"),
+        ("closed-form-index-3/2", "primary"),
+        ("parity-reality", "primary"),
+        ("non-gaussianity", "primary"),
+        ("hermite4-coefficient", "info"),
+        ("theta-correction-scaling", "info"),
+    ]
     assert all(r.passed for r in results)
+    # run_all looks each check up by module attribute when it is called, so
+    # a check replaced on the module (as a tracer replaces it) is the one run
+    stand_in = v.CriterionResult("kernel", "primary", False, "replaced")
+    monkeypatch.setattr(v, "crit_kernel", lambda: stand_in)
+    assert v.run_all()[4] is stand_in

@@ -298,6 +298,10 @@ class TestPlumbing:
         # every origin node (only the index-3/2 drift, 3.11e-15 -> 3.55e-15)
         ("validate --format json",
          "27894fa446db4fadaa4505f0d148ca1e1dfb133f455de8448470e4b310ee9080"),
+        # the text report, pinned before the criteria moved to one decorator:
+        # the PASS / INFO / FAIL tags, the names and their order
+        ("validate",
+         "5d4e8b89fc24a7d3a4b15552e06045634cd99851ee7ce87507dd8423986064e1"),
         # factorize pinned before the k-space remainder was rebuilt from its
         # monomial sums; an x-space --theta of 0 changes nothing
         ("factorize --delta 1 --gamma 2",

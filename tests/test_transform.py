@@ -281,7 +281,20 @@ class TestOriginRule:
     def test_index_tenth_refused_by_sliver(self, n):
         with pytest.raises(QuadratureError, match="sliver next to k=0") as info:
             inverse_fourier(excited_state(n, F(1, 10)), [0.0, 1.0])
-        assert "overflow" not in str(info.value)
+        share = {2: "2.5e-13", 3: "4.3e-13"}[n]
+        assert str(info.value) == (
+            f"state n={n} at index 1/10: the sliver next to k=0 below the rule's deepest "
+            f"node may hold {share} of the integrand's mass (limit 1e-16)"
+        )
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("alpha,share", [(F(1, 10**20), "e+20"), (F(1, 10**400), "inf")])
+    def test_tiny_index_refused_by_sliver(self, n, alpha, share):
+        # the origin power p + 1 = a/2 is lost in float(-1 + a/2) + 1 at
+        # 1e-20, and float(a/2) underflows to 0.0 at 1e-400
+        with pytest.raises(QuadratureError, match="sliver next to k=0") as info:
+            inverse_fourier(excited_state(n, alpha), [-1.0, 0.0, 1.0])
+        assert f"{share} of the integrand's mass" in str(info.value)
 
 
 class TestRowBlocks:
