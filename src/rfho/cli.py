@@ -84,7 +84,15 @@ def _write(args: argparse.Namespace, obj, lines) -> None:
 
 
 def _write_grid(args: argparse.Namespace, grid: Grid) -> int:
-    """Write a sample as columns (JSON) or as rows under ``<axis>,re,im`` (CSV); exit code 0."""
+    """Write a sample as columns (JSON) or as rows under ``<axis>,re,im`` (CSV); exit code 0.
+
+    A grid whose every point was left out as singular writes nothing and
+    exits 1 with one stderr line, instead of a bare header.
+    """
+    if not grid.points:
+        print(f"rfho {args.command}: every grid point is singular; no value to write",
+              file=sys.stderr)
+        return 1
     # the one place that clears -0: + 0.0 turns -0.0 into 0.0
     re = [v.real + 0.0 for v in grid.values]
     im = [v.imag + 0.0 for v in grid.values]

@@ -41,12 +41,19 @@ Reach: a Gauss-Legendre panel of width h resolves cos(kx) only while
 that is |x| > 64 at K = 25 with 200 panels (128 with the panel count
 doubled, 55.2 at index 1/5).  At x = 64 the states n = 0, 1 at indices
 1/2, 1 and 3/2 agree with an 800-panel rule to 8e-17 of their peak, and
-to 1.3e-15 (rounding) anywhere on |x| <= 64; past the reach, at x = 100
+to 1.2e-15 (rounding) anywhere on |x| <= 64; past the reach, at x = 100
 they are off by 8e-14 and at x = 200 by 1.1e-8.
 
-The cos/sin kernel is never held whole: the sums run over blocks of 128
-x rows, so the transform's working memory is one block of 128 x nodes
-floats (3.3 MB on the default rule), whatever the grid size.
+Kernel: each Gauss-Legendre panel is its centre c plus 16 offsets that
+come in pairs +-delta, so by angle addition the panel's share of the sum
+needs cos and sin of c x and of the 8 delta x, not of each k x; with the
+77 tanh-sinh nodes taken directly that is 2 * 199 + 2 * 8 + 77 = 491
+trig calls per x on the default rule instead of 3261.  Every sum runs in
+a fixed order with no BLAS call, so a value at x is the same bits
+whatever else the grid holds, and since cos is even and sin odd,
+psi_n(-x) = (-1)^n psi_n(x) holds exactly.  The sums run over blocks of
+128 x rows, so the working memory is a few block-sized buffers (about
+1.5 MB on the default rule), whatever the grid size.
 
 Every result is a ``spectral.Grid`` (imported here, so ``transform.Grid``
 names the same class).
@@ -57,9 +64,10 @@ the exact subcommands start without it.
 
 from __future__ import annotations
 
+import decimal
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .spectral import Grid, KState, ground_state
 
@@ -79,12 +87,16 @@ _TAIL_LIMIT = 1e-16
 _MIN_CUTOFF = 25
 #: Gauss-Legendre nodes on each panel after the first
 _GL_NODES = 16
+#: node pairs (j, 15 - j) each panel folds into one cos and one sin term
+_HALF = _GL_NODES // 2
 #: share of the integrand's absolute mass the sliver below the deepest node may hold
 _DROP_LIMIT = 1e-16
 #: largest |x| * panel width the rule resolves: 64 at the width 1/8 of K = 25, 200 panels
 _REACH = 8.0
 #: x rows whose cos/sin kernel is held at once
 _BLOCK_ROWS = 128
+#: longest index a refusal names as its exact fraction; a longer one gets 6 digits
+_INDEX_TEXT_MAX = 16
 #: |psi0_2| at or below which the non-Gaussianity ratio is nan: 1e-12 of its peak sqrt(2 pi)
 _GAUSS_TAIL = 1e-12 * math.sqrt(2 * math.pi)
 #: uniform panels covering [0, K]: 77 tanh-sinh nodes + 199 * 16 Gauss-Legendre = 3261
@@ -104,6 +116,18 @@ def _cutoff(state: KState) -> int:
     return k
 
 
+def _state_name(state: KState) -> str:
+    """"state n=... at index ..." for a refusal: the index as its exact fraction
+    when that is short, else to 6 significant digits from ``decimal``, since
+    float(alpha) may underflow to 0."""
+    index = str(state.alpha)
+    if len(index) > _INDEX_TEXT_MAX:
+        with decimal.localcontext() as ctx:
+            ctx.prec = 6
+            index = f"{decimal.Decimal(state.alpha.numerator) / state.alpha.denominator:.6g}"
+    return f"state n={state.n} at index {index}"
+
+
 def _tanh_sinh(width: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes k = width / (1 + exp(-pi sinh t)) and weights on [0, width], ascending."""
     import numpy as np
@@ -118,17 +142,35 @@ def _tanh_sinh(width: float) -> tuple[np.ndarray, np.ndarray]:
     return width * u, width * _TS_STEP * np.pi * np.cosh(t) * u * v
 
 
+class _Rule(NamedTuple):
+    """The quadrature rule on [0, K]: every node and weight, tanh-sinh first,
+    and the Gauss-Legendre panels as centres plus one shared set of offsets."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    #: the midpoints c_p of the Gauss-Legendre panels, ascending
+    centres: np.ndarray
+    #: the offsets delta_j, j < 8, of each panel's first 8 nodes; node 15 - j sits at -delta_j
+    offsets: np.ndarray
+
+
 @lru_cache(maxsize=8)
-def _nodes_and_weights(cutoff: int, panel_count: int) -> tuple[np.ndarray, np.ndarray]:
+def _rule(cutoff: int, panel_count: int) -> _Rule:
+    """The rule of ``panel_count`` panels on [0, cutoff]; QuadratureError when
+    the Gauss-Legendre offsets are not exactly antisymmetric, as the kernel's
+    fold needs."""
     import numpy as np
 
     width = cutoff / panel_count
     base_x, base_w = np.polynomial.legendre.leggauss(_GL_NODES)
+    if not np.array_equal(base_x[:_HALF], -base_x[: _HALF - 1 : -1]):
+        raise QuadratureError("the Gauss-Legendre offsets are not antisymmetric")
+    offsets = width / 2 * base_x
     centers = width * (np.arange(1, panel_count) + 0.5)
     ts_nodes, ts_weights = _tanh_sinh(width)
-    nodes = np.concatenate([ts_nodes, (centers[:, None] + width / 2 * base_x).ravel()])
+    nodes = np.concatenate([ts_nodes, (centers[:, None] + offsets).ravel()])
     weights = np.concatenate([ts_weights, np.tile(width / 2 * base_w, panel_count - 1)])
-    return nodes, weights
+    return _Rule(nodes, weights, centers, offsets[:_HALF].copy())
 
 
 def _integrand(
@@ -149,16 +191,14 @@ def _integrand(
     # odd states gain one origin power from the sin kernel, |sin kx| <= k x_reach
     softened = amp.min_exponent + odd
     if softened <= -1:
-        raise QuadratureError(
-            f"state n={state.n} at index {state.alpha} is not integrable at k=0"
-        )
+        raise QuadratureError(f"{_state_name(state)} is not integrable at k=0")
     e = float(state.ground_exponent)
     raised = np.zeros_like(nodes)
     for t in amp.terms:
         raised += float(t.coeff) * nodes ** float(t.exponent + 1)
     value = weights / nodes * raised * np.exp(-(nodes**e) / e)
     if not np.all(np.isfinite(value)):
-        raise QuadratureError(f"state n={state.n} at index {state.alpha}: integrand not finite")
+        raise QuadratureError(f"{_state_name(state)}: integrand not finite")
     mass = np.abs(value)
     if odd:
         mass *= np.minimum(1.0, nodes * x_reach)
@@ -171,34 +211,75 @@ def _integrand(
     share = sliver / float(np.sum(mass))
     if share > _DROP_LIMIT:
         raise QuadratureError(
-            f"state n={state.n} at index {state.alpha}: the sliver next to k=0 below "
-            f"the rule's deepest node may hold {share:.1e} of the integrand's mass "
+            f"{_state_name(state)}: the sliver next to k=0 below the rule's deepest "
+            f"node may hold {share:.1e} of the integrand's mass "
             f"(limit {_DROP_LIMIT})"
         )
     return -value if odd else value
 
 
+def _folded_sum(
+    trig_d: np.ndarray, pairs: np.ndarray, out: np.ndarray, term: np.ndarray
+) -> np.ndarray:
+    """sum_{j<8} trig_d[:, j] * pairs[j] into ``out``, as a fixed loop of multiply-adds."""
+    import numpy as np
+
+    np.multiply(trig_d[:, :1], pairs[0], out=out)
+    for j in range(1, _HALF):
+        np.multiply(trig_d[:, j : j + 1], pairs[j], out=term)
+        out += term
+    return out
+
+
 def _fourier_sums(
-    x_arr: np.ndarray, nodes: np.ndarray, columns: Sequence[np.ndarray], odd: bool
+    x_arr: np.ndarray, rule: _Rule, columns: Sequence[np.ndarray], odd: bool
 ) -> np.ndarray:
     """2 * sum_j trig(x_i k_j) c_j for each column c, one row per column.
 
-    The kernel is formed _BLOCK_ROWS rows of x at a time in one reused
-    buffer; each column gets its own matrix-vector product, so identical
-    columns give identical sums.
+    The tanh-sinh nodes are summed directly.  A Gauss-Legendre panel's node
+    j sits at c + delta_j with delta_{15-j} = -delta_j, so by angle addition
+    the panel adds cos(cx) A - sin(cx) B to the cos sum and sin(cx) A +
+    cos(cx) B to the sin sum, where A = sum_{j<8} cos(delta_j x) (f_j +
+    f_{15-j}) and B = sum_{j<8} sin(delta_j x) (f_j - f_{15-j}).  No sum
+    depends on which other rows are in the grid: A and B are fixed loops,
+    and each row's panel terms and tanh-sinh terms are summed by
+    np.add.reduce, panels first.  The rows are taken _BLOCK_ROWS at a time
+    in reused buffers.
     """
     import numpy as np
 
     trig = np.sin if odd else np.cos
+    ts_count = rule.nodes.size - rule.centres.size * _GL_NODES
+    ts_nodes = rule.nodes[:ts_count]
+    folded = []
+    for column in columns:
+        panels = column[ts_count:].reshape(-1, _GL_NODES)
+        head, tail = panels[:, :_HALF], panels[:, : _HALF - 1 : -1]
+        # B enters the cos sum negated: cos(cx) A + sin(cx) (-B)
+        signed = head - tail if odd else tail - head
+        folded.append((column[:ts_count], (head + tail).T.copy(), signed.T.copy()))
     out = np.empty((len(columns), x_arr.size))
-    block = np.empty((min(_BLOCK_ROWS, x_arr.size), nodes.size))
+    shape = (min(_BLOCK_ROWS, x_arr.size), rule.centres.size)
+    cos_c, sin_c, a_buf, b_buf, term = (np.empty(shape) for _ in range(5))
+    first, second = (sin_c, cos_c) if odd else (cos_c, sin_c)
     for lo in range(0, x_arr.size, _BLOCK_ROWS):
         rows = x_arr[lo : lo + _BLOCK_ROWS]
-        kernel = block[: rows.size]
-        np.multiply.outer(rows, nodes, out=kernel)
-        trig(kernel, out=kernel)
-        for c, column in enumerate(columns):
-            np.dot(kernel, column, out=out[c, lo : lo + rows.size])
+        size = rows.size
+        # sin_c holds c x until its sin overwrites it
+        np.multiply.outer(rows, rule.centres, out=sin_c[:size])
+        np.cos(sin_c[:size], out=cos_c[:size])
+        np.sin(sin_c[:size], out=sin_c[:size])
+        dx = np.multiply.outer(rows, rule.offsets)
+        cos_d, sin_d = np.cos(dx), np.sin(dx)
+        ts_kernel = trig(np.multiply.outer(rows, ts_nodes))
+        for c, (ts_column, plus, signed) in enumerate(folded):
+            a = _folded_sum(cos_d, plus, a_buf[:size], term[:size])
+            b = _folded_sum(sin_d, signed, b_buf[:size], term[:size])
+            a *= first[:size]
+            b *= second[:size]
+            a += b
+            ts_terms = ts_kernel * ts_column
+            out[c, lo : lo + size] = np.add.reduce(a, axis=1) + np.add.reduce(ts_terms, axis=1)
     out *= 2.0
     return out
 
@@ -225,11 +306,11 @@ def _transform(states: Sequence[KState], x_arr: np.ndarray, panel_count: int) ->
         raise QuadratureError(
             f"|x| = {x_far:.6g} is beyond the rule's reach |x| <= {_REACH / width:g}"
         )
-    nodes, weights = _nodes_and_weights(cutoff, panel_count)
+    rule = _rule(cutoff, panel_count)
     odd = states[0].n % 2 == 1
     x_reach = max(1.0, x_far) if odd else 1.0
-    columns = [_integrand(s, nodes, weights, x_reach) for s in states]
-    return _fourier_sums(x_arr, nodes, columns, odd)
+    columns = [_integrand(s, rule.nodes, rule.weights, x_reach) for s in states]
+    return _fourier_sums(x_arr, rule, columns, odd)
 
 
 def inverse_fourier(

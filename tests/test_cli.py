@@ -294,14 +294,18 @@ class TestPlumbing:
         ("eigenvalue --n 7 --alpha 3/2 --theta=1/2",
          "a3c1938d1e2b2b5981923d73a49cce3b3f422d1f77cf313e0159214b3a0d2cef"),
         # re-pinned when the numeric gates were tightened (only the
-        # "(limit ...)" figures changed), and again when the transform kept
-        # every origin node (only the index-3/2 drift, 3.11e-15 -> 3.55e-15)
+        # "(limit ...)" figures changed), when the transform kept every
+        # origin node (only the index-3/2 drift, 3.11e-15 -> 3.55e-15), and
+        # when the x-space kernel moved to per-panel angle addition (only
+        # the index-1 mismatch, 7.51e-16 -> 1.88e-16, and the index-3/2
+        # drift, 3.55e-15 -> 4.44e-16)
         ("validate --format json",
-         "27894fa446db4fadaa4505f0d148ca1e1dfb133f455de8448470e4b310ee9080"),
-        # the text report, pinned before the criteria moved to one decorator:
-        # the PASS / INFO / FAIL tags, the names and their order
+         "8cb6dc726c5e9bdae43bcdcf964701ab0c603f6bb890e3e4a1334f9034f2ef5e"),
+        # the text report, pinned before the criteria moved to one decorator
+        # (the PASS / INFO / FAIL tags, the names and their order) and
+        # re-pinned with the same two figures as the JSON report
         ("validate",
-         "5d4e8b89fc24a7d3a4b15552e06045634cd99851ee7ce87507dd8423986064e1"),
+         "fad4e855fa6c0f15a84c2ec65fea0ef9f334ccab781a51b95b46b7e10030638f"),
         # factorize pinned before the k-space remainder was rebuilt from its
         # monomial sums; an x-space --theta of 0 changes nothing
         ("factorize --delta 1 --gamma 2",
@@ -564,3 +568,29 @@ class TestInputContract:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"rfho {cmd[0]}: ")
+
+    @pytest.mark.parametrize("alpha,index", [
+        ("1e-400", "1e-400"), ("1e-20", "1e-20"), ("3/70000000000000000000", "4.28571e-20"),
+        ("1/10", "1/10"),
+    ])
+    def test_refusal_names_a_long_index_in_short_form(self, capsys, alpha, index):
+        # the exact Fraction of 1e-400 alone is over 400 bytes
+        code = main(["state", "--n", "2", "--alpha", alpha, "--space", "x", "--grid=-1:1:3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 200
+        assert captured.err.startswith(f"rfho state: state n=2 at index {index}: the sliver")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_with_no_regular_point_exits_1(self, capsys, tmp_path, fmt):
+        # at index 1e-400 every point divides by float(alpha) = 0 and is
+        # left out as singular; no bare header, and no --out file
+        argv = ["eigenvalue", "--n", "2", "--alpha", "1e-400", "--grid=-1:1:5", "--format", fmt]
+        for extra in ([], ["--out", str(tmp_path / "table")]):
+            code = main(argv + extra)
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == "rfho eigenvalue: every grid point is singular; no value to write\n"
+        assert not (tmp_path / "table").exists()

@@ -4,8 +4,8 @@ About 1,440 in-process calls: ``state`` and ``eigenvalue`` (at four skews)
 for seven levels at eight indices on five grids, and ``nongauss`` in k at
 the same indices and grids. The grids reach the origin (negative powers of
 |k|, and the pole of the odd eigenvalues), an underflowed ground state and
-overflow at |k| = 1e200. x space is left out: its last digits follow the
-BLAS summation order.
+overflow at |k| = 1e200. x space is left out; ``test_transform.py`` holds
+its values to the moment series and to the same bits on every grid.
 
 Run as a script to print the digests, e.g. to compare two checkouts::
 

@@ -126,6 +126,23 @@ class TestGuards:
         with pytest.raises(QuadratureError, match="reach"):
             nongaussianity_x(F(1, 5), [56.0])
 
+    def test_rule_refuses_offsets_that_are_not_antisymmetric(self, monkeypatch):
+        # the kernel folds node j with node 15 - j; a raise, not an assert,
+        # so the check holds under python -O too
+        leggauss = np.polynomial.legendre.leggauss
+
+        def skewed(deg):
+            x, w = leggauss(deg)
+            return np.concatenate([[np.nextafter(x[0], 0.0)], x[1:]]), w
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", skewed)
+        transform._rule.cache_clear()
+        try:
+            with pytest.raises(QuadratureError, match="not antisymmetric"):
+                transform._rule(25, transform.PANEL_COUNT)
+        finally:
+            transform._rule.cache_clear()
+
     def test_index2_polynomial_states_fine_at_n4(self):
         grid = inverse_fourier(excited_state(4, F(2)), [0.0])
         assert grid.values[0].real == pytest.approx(12 * SQRT_2PI, rel=1e-10)
@@ -262,8 +279,8 @@ class TestOriginRule:
         # bound, or has a finite weight times amplitude at all 3261 nodes,
         # with no overflow on the way
         for alpha in self.ALPHAS:
-            nodes, weights = transform._nodes_and_weights(
-                transform._cutoff(ground_state(alpha)), transform.PANEL_COUNT)
+            rule = transform._rule(transform._cutoff(ground_state(alpha)), transform.PANEL_COUNT)
+            nodes, weights = rule.nodes, rule.weights
             for n in range(21):
                 state = excited_state(n, alpha)
                 with warnings.catch_warnings():
@@ -300,22 +317,34 @@ class TestOriginRule:
 class TestRowBlocks:
     BLOCK = transform._BLOCK_ROWS
 
+    @staticmethod
+    def exact_sum(rule, column, x, odd):
+        """2 * sum_j trig(x k_j) c_j over every node of the rule, in 40-digit mpmath."""
+        import mpmath as mp
+
+        trig = mp.sin if odd else mp.cos
+        with mp.workdps(40):
+            xm = mp.mpf(x)
+            return float(2 * mp.fsum(mp.mpf(c) * trig(xm * mp.mpf(k))
+                                     for c, k in zip(column, rule.nodes)))
+
     @pytest.mark.parametrize("n,top", [(2, 4001), (3, 2 * BLOCK + 1)])
     def test_blocks_equal_dense_kernel(self, n, top):
-        # tolerance 1e-15 of the integrand's mass: the blocks change only
-        # which rows share a BLAS call, not the terms of any sum
+        # the blocked, folded sums against the dense sum over every node of
+        # the same rule in 40-digit mpmath, to 1e-15 of the integrand's mass
+        # (about 1e-16 measured), on rows either side of each block edge
+        # and at both ends of the grid
         state = excited_state(n, F(1, 2))
-        nodes, weights = transform._nodes_and_weights(25, transform.PANEL_COUNT)
-        column = transform._integrand(state, nodes, weights, 39.0)
+        rule = transform._rule(25, transform.PANEL_COUNT)
+        column = transform._integrand(state, rule.nodes, rule.weights, 39.0)
         # on the odd fold |sin kx| <= k |x| softens the origin powers
-        mass = 2 * np.sum(np.abs(column) * (np.minimum(1.0, 39.0 * nodes) if n % 2 else 1.0))
-        trig = np.sin if n % 2 else np.cos
-        for size in (1, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, top):
-            xs = np.linspace(-39.0, 39.0, size) if size > 1 else np.array([0.7])
-            blocked = transform._fourier_sums(xs, nodes, [column], n % 2 == 1)[0]
-            kernel = np.outer(xs, nodes)
-            dense = 2 * (trig(kernel, out=kernel) @ column)
-            assert np.max(np.abs(blocked - dense)) <= 1e-15 * mass
+        mass = 2 * np.sum(np.abs(column) * (np.minimum(1.0, 39.0 * rule.nodes) if n % 2 else 1.0))
+        xs = np.linspace(-39.0, 39.0, top)
+        blocked = transform._fourier_sums(xs, rule, [column], n % 2 == 1)[0]
+        rows = (0, self.BLOCK - 1, self.BLOCK, 2 * self.BLOCK - 1, 2 * self.BLOCK, top // 2, top - 1)
+        for i in rows:
+            exact = self.exact_sum(rule, column, xs[i], n % 2 == 1)
+            assert abs(blocked[i] - exact) <= 1e-15 * mass, (i, abs(blocked[i] - exact) / mass)
 
     def test_memory_is_one_block(self):
         xs = list(np.linspace(-39.0, 39.0, 2001))
@@ -360,13 +389,59 @@ def test_determinism():
     assert a.values == b.values
 
 
-class TestParity:
-    """psi_n(-x) = (-1)**n psi_n(x) to within rounding on exactly mirrored grids.
+class TestGridIndependence:
+    """Each x-space value is the same bits alone and inside any grid.
 
-    Not exactly: the sums at -x and x may take different BLAS summation
-    orders, which moves last digits. With numpy 2.4 on x86-64, 106 of the
-    39,072 pairs below differ, by at most 2.6e-15 of the peak (the peak of
-    |psi_n| on the 2001-point grid).
+    Every sum runs in a fixed order, so no value depends on how many rows
+    share a block or where in it the row sits.  A pool of 301 dyadic points
+    on [-37.5, 37.5] gives the grids: each state meets every 16th size of
+    2..300 points (each size meets two of the 32 states), and the 127-,
+    128- and 129-point grids on either side of a block edge.
+    """
+
+    ALPHAS = [F(1, 5), F(1, 2), F(2, 3), F(1), F(5, 4), F(3, 2), F(7, 4), F(2)]
+    POOL = np.array([(j - 150) / 4 for j in range(301)])
+    BLOCK = transform._BLOCK_ROWS
+
+    @pytest.mark.parametrize("alpha", ALPHAS, ids=str)
+    def test_alone_equals_inside_any_grid(self, alpha):
+        rule = transform._rule(transform._cutoff(ground_state(alpha)), transform.PANEL_COUNT)
+        for n in range(4):
+            slot = 4 * self.ALPHAS.index(alpha) + n
+            column = transform._integrand(excited_state(n, alpha), rule.nodes, rule.weights, 38.0)
+
+            def sums(xs):
+                return transform._fourier_sums(xs, rule, [column], n % 2 == 1)[0]
+
+            alone = np.array([sums(self.POOL[i : i + 1])[0] for i in range(self.POOL.size)])
+            sizes = [m for m in range(2, 301) if m % 16 == slot % 16]
+            for m in sizes + [self.BLOCK - 1, self.BLOCK, self.BLOCK + 1]:
+                start = 7 * m % (self.POOL.size + 1 - m)
+                inside = sums(self.POOL[start : start + m])
+                assert np.array_equal(inside, alone[start : start + m]), (n, m)
+
+    @pytest.mark.parametrize("alpha", [F(1, 5), F(1)], ids=str)
+    def test_public_transform_alone_equals_grid(self, alpha):
+        # the same through inverse_fourier and nongaussianity_x, whose
+        # x-dependent refusal checks leave the values alone
+        xs = list(self.POOL[: self.BLOCK + 1])
+        for n in range(4):
+            state = excited_state(n, alpha)
+            grid = inverse_fourier(state, xs).values
+            for i in (0, self.BLOCK - 1, self.BLOCK):
+                assert inverse_fourier(state, [xs[i]]).values[0] == grid[i], (n, i)
+        shared = nongaussianity_x(alpha, xs).values
+        for i in (0, 75, self.BLOCK - 1, self.BLOCK):
+            alone = nongaussianity_x(alpha, [xs[i]]).values[0]
+            assert alone == shared[i] or (math.isnan(alone.real) and math.isnan(shared[i].real))
+
+
+class TestParity:
+    """psi_n(-x) = (-1)**n psi_n(x) exactly on exactly mirrored grids.
+
+    The sums at -x and at x run the same operations in the same order on
+    values of the opposite sign where the kernel is odd, and cos is even
+    and sin odd in numpy's implementation, so the two agree to the bit.
     """
 
     ALPHAS = [F(1, 5), F(1, 2), F(2, 3), F(1), F(5, 4), F(3, 2), F(7, 4), F(2)]
@@ -382,9 +457,6 @@ class TestParity:
         for n in range(4):
             state = excited_state(n, alpha)
             sign = (-1) ** n
-            grids = [inverse_fourier(state, self.mirrored(c)) for c in (2001, 401, 41, 3)]
-            peak = max(abs(v) for v in grids[0].values)
-            for grid in grids:
-                psi = [v.real for v in grid.values]
-                worst = max(abs(a - sign * b) for a, b in zip(psi, reversed(psi)))
-                assert worst <= 1e-14 * peak, (n, len(psi), worst / peak)
+            for count in (2001, 401, 41, 3):
+                psi = [v.real for v in inverse_fourier(state, self.mirrored(count)).values]
+                assert psi == [sign * v for v in reversed(psi)], (n, count)
