@@ -139,8 +139,8 @@ def oscillator_op(alpha) -> OpExpr:
 
 
 def remainder_forward_closed(gamma, delta) -> OpExpr:
-    """Closed form (g/2) D**(g/2-1) + x (D**(g/2) - D**(d/2))."""
-    g, d = _as_fraction(gamma), _as_fraction(delta)
+    """Closed form (g/2) D**(g/2-1) + x (D**(g/2) - D**(d/2)); both orders positive."""
+    g, d = _positive_order(gamma), _positive_order(delta)
     return (
         OpExpr.word(g / 2, 0, g / 2 - 1)
         + OpExpr.word(1, 1, g / 2)

@@ -79,9 +79,21 @@ def _check_alpha(alpha: Fraction) -> None:
         raise ValueError("stability index must lie in (0, 2]")
 
 
+def _points(points: Sequence[float]) -> tuple[float, ...]:
+    """The points as a tuple if they are finite and strictly increasing, else ValueError."""
+    pts = tuple(points)
+    if not all(map(math.isfinite, pts)):
+        raise ValueError("sample points must be finite")
+    if not all(a < b for a, b in zip(pts, pts[1:])):
+        raise ValueError("points must be strictly increasing")
+    return pts
+
+
 @dataclass(frozen=True)
 class Grid:
-    """A sampled axis with complex amplitudes; the symbolic/numeric exchange format."""
+    """A sampled axis with complex amplitudes; the symbolic/numeric exchange format.
+
+    Its points are finite and strictly increasing (``_points``, the one point rule)."""
 
     axis_label: str
     points: tuple[float, ...]
@@ -92,9 +104,7 @@ class Grid:
             raise ValueError("axis label must be 'k' or 'x'")
         if len(self.points) != len(self.values):
             raise ValueError("points and values lengths differ")
-        for a, b in zip(self.points, self.points[1:]):
-            if not a < b:
-                raise ValueError("points must be strictly increasing")
+        _points(self.points)
 
 
 @dataclass(frozen=True)
@@ -235,10 +245,10 @@ def sample_regular(f, ks: Sequence[float]) -> Grid:
 
     A point is singular when f raises there: DomainError at the origin
     under a negative power of |k|, ZeroDivisionError at a root of a
-    denominator.
+    denominator.  ks breaking ``Grid``'s point rule is refused before f runs.
     """
     pts, vals = [], []
-    for k in ks:
+    for k in _points(ks):
         try:
             vals.append(f(k))
         except (DomainError, ZeroDivisionError):

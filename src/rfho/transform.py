@@ -18,14 +18,15 @@ so psi is real in both cases, and the transform computes that one real
 integral per state.
 
 Quadrature: PANEL_COUNT = 200 uniform panels of width h = K / 200 cover
-[0, K]; only ``inverse_fourier`` takes another count, as the keyword
-``panel_count``.  The cutoff K is derived from the index: it is the smallest
-integer K >= 25 whose ground-state tail exp(-K**e / e), e = alpha/2 + 1,
-is below 1e-16.  That is K = 25 for every alpha >= 0.35, 26 at 1/3, 29
-at 1/5, 33 at 1/10 and 37 as alpha -> 0; a shared pass over several
-states uses the largest K among them.  The amplitudes carry |k|**q
-singularities at the origin (integrable after the parity factor softens
-them to k**p, p > -1), so the first panel [0, h] uses a tanh-sinh rule,
+[0, K] for every caller; only ``rfho validate`` uses 400, through the
+private ``_transform``, to measure self-convergence.  The cutoff K is
+derived from the index: it is the smallest integer K >= 25 whose
+ground-state tail exp(-K**e / e), e = alpha/2 + 1, is below 1e-16.
+That is K = 25 for every alpha >= 0.35, 26 at 1/3, 29 at 1/5, 33 at
+1/10 and 37 as alpha -> 0; a shared pass over several states uses the
+largest K among them.  The amplitudes carry |k|**q singularities at the
+origin (integrable after the parity factor softens them to k**p,
+p > -1), so the first panel [0, h] uses a tanh-sinh rule,
 whose nodes crowd double exponentially towards k = 0; the other panels
 use 16-node Gauss-Legendre.  Every node is kept.  Weight and amplitude
 are formed together, as (w / k) * sum_i c_i k**(q_i + 1): each power
@@ -38,8 +39,8 @@ mass (n = 2 and 3 at index 1/10, where p + 1 is 0.05).
 
 Reach: a Gauss-Legendre panel of width h resolves cos(kx) only while
 |x| h is small, so a transform is refused when some |x| h exceeds 8,
-that is |x| > 64 at K = 25 with 200 panels (128 with the panel count
-doubled, 55.2 at index 1/5).  At x = 64 the states n = 0, 1 at indices
+that is |x| > 64 at K = 25 with 200 panels (128 on the 400 panels of
+``validate``, 55.2 at index 1/5).  At x = 64 the states n = 0, 1 at indices
 1/2, 1 and 3/2 agree with an 800-panel rule to 8e-17 of their peak, and
 to 1.2e-15 (rounding) anywhere on |x| <= 64; past the reach, at x = 100
 they are off by 8e-14 and at x = 200 by 1.1e-8.
@@ -69,7 +70,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .spectral import Grid, KState, ground_state
+from .spectral import Grid, KState, _points, ground_state
 
 if TYPE_CHECKING:
     import numpy as np
@@ -284,21 +285,12 @@ def _fourier_sums(
     return out
 
 
-def _x_array(xs: Sequence[float]) -> np.ndarray:
+def _transform(states: Sequence[KState], xs: Sequence[float], panel_count: int) -> np.ndarray:
+    """psi of each state, all of one parity, at points that keep ``Grid``'s rule,
+    in one kernel pass on ``panel_count`` panels; one row per state."""
     import numpy as np
 
-    x_arr = np.asarray([float(x) for x in xs], dtype=float)
-    if x_arr.size and not np.all(np.isfinite(x_arr)):
-        raise ValueError("sample points must be finite")
-    if not np.all(x_arr[:-1] < x_arr[1:]):
-        raise ValueError("points must be strictly increasing")
-    return x_arr
-
-
-def _transform(states: Sequence[KState], x_arr: np.ndarray, panel_count: int) -> np.ndarray:
-    """psi of each state, all of one parity, in one kernel pass; one row per state."""
-    if panel_count < 1:
-        raise ValueError("panel count must be positive")
+    x_arr = np.array(xs, dtype=float)
     cutoff = max(_cutoff(s) for s in states)
     width = cutoff / panel_count
     x_far = float(abs(x_arr).max()) if x_arr.size else 0.0
@@ -313,32 +305,29 @@ def _transform(states: Sequence[KState], x_arr: np.ndarray, panel_count: int) ->
     return _fourier_sums(x_arr, rule, columns, odd)
 
 
-def inverse_fourier(
-    state: KState, xs: Sequence[float], *, panel_count: int = PANEL_COUNT
-) -> Grid:
-    """Transform a k-space state to the x axis; returns a real-valued Grid.
+def inverse_fourier(state: KState, xs: Sequence[float]) -> Grid:
+    """Transform a k-space state to the x axis on PANEL_COUNT panels; returns a real-valued Grid.
 
-    ``panel_count`` panels cover [0, K]; doubling it halves each panel.
-    Raises ValueError for unordered or non-finite points or a count below 1,
-    and QuadratureError when some |x| lies beyond the rule's reach (|x| *
+    Raises ValueError for unordered or non-finite points, and
+    QuadratureError when some |x| lies beyond the rule's reach (|x| *
     panel width > 8), the state is not integrable at k = 0, or the sliver
     below the rule's deepest node may hold more than 1e-16 of its mass.
     """
-    x_arr = _x_array(xs)
-    [psi] = _transform([state], x_arr, panel_count)
-    values = tuple(complex(v, 0.0) for v in psi)
-    return Grid("x", tuple(float(x) for x in x_arr), values)
+    pts = _points(float(x) for x in xs)
+    [psi] = _transform([state], pts, PANEL_COUNT)
+    return Grid("x", pts, tuple(complex(v, 0.0) for v in psi))
 
 
 def nongaussianity_k(alpha, ks: Sequence[float]) -> Grid:
-    """1 - phi0_alpha(k) / phi0_2(k) on a k grid: 0 at index 2, ValueError outside (0, 2].
+    """1 - phi0_alpha(k) / phi0_2(k) on a k grid: 0 at index 2, ValueError outside (0, 2]
+    or for points that break ``Grid``'s rule, before any is evaluated.
 
     Written as -expm1(k^2/2 - |k|^e/e), which keeps its digits as the
     exponent tends to 0 with k; at index 2 that is -0.0, which the CLI
     writer prints as 0.  OverflowError once the exponent passes about 709.
     """
     e = float(ground_state(alpha).ground_exponent)
-    pts = tuple(float(k) for k in ks)
+    pts = _points(float(k) for k in ks)
     values = tuple(
         complex(-math.expm1(k * k / 2 - abs(k) ** e / e), 0.0) for k in pts
     )
@@ -353,15 +342,15 @@ def nongaussianity_x(alpha, xs: Sequence[float]) -> Grid:
     from |x| = 7.43 on, are reported as nan whatever grid they sit in (the
     ratio is numerically meaningless in the deep tail).
     """
-    x_arr = _x_array(xs)
-    numer, denom = _transform([ground_state(alpha), ground_state(2)], x_arr, PANEL_COUNT)
+    pts = _points(float(x) for x in xs)
+    numer, denom = _transform([ground_state(alpha), ground_state(2)], pts, PANEL_COUNT)
     out = []
     for num, den in zip(numer, denom):
         if abs(den) <= _GAUSS_TAIL:
             out.append(complex(math.nan, 0.0))
         else:
             out.append(complex(1.0 - num / den, 0.0))
-    return Grid("x", tuple(float(x) for x in x_arr), tuple(out))
+    return Grid("x", pts, tuple(out))
 
 
 __all__ = [

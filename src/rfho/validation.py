@@ -65,7 +65,7 @@ from .spectral import (
     kernel_residual_at,
     local_eigenvalue,
 )
-from .transform import PANEL_COUNT, inverse_fourier, nongaussianity_k, nongaussianity_x
+from .transform import PANEL_COUNT, _transform, inverse_fourier, nongaussianity_k, nongaussianity_x
 
 F = Fraction
 
@@ -489,8 +489,8 @@ def crit_closed_form_alpha32() -> tuple[bool, str]:
     low = max(abs(ratio - 1) for ratio in ratios[:3])
     low_ok, low_limit = _gate("closed-form-index-3/2 low terms", low)
 
-    grid2 = inverse_fourier(ground_state(F(3, 2)), grid.points, panel_count=2 * PANEL_COUNT)
-    drift = max(abs(a.real - b.real) for a, b in zip(grid.values, grid2.values))
+    [psi2] = _transform([ground_state(F(3, 2))], grid.points, 2 * PANEL_COUNT)
+    drift = max(abs(a.real - float(b)) for a, b in zip(grid.values, psi2))
     converged, drift_limit = _gate("closed-form-index-3/2 drift", drift)
 
     detail = (

@@ -205,6 +205,11 @@ def test_positive_orders_required():
         compose_factorization(F(0), F(1))
     with pytest.raises(ValueError):
         lowering_op(F(-1))
+    for closed_form, orders in ((remainder_forward_closed, (F(-1), F(2))),
+                                (remainder_reverted_closed, (F(2), F(-1))),
+                                (remainder_forward_closed, (F(1), F(0)))):
+        with pytest.raises(ValueError, match="fractional orders must be positive"):
+            closed_form(*orders)
 
 
 class TestFourierRemainder:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rfho import transform
-from rfho.spectral import excited_state, ground_state
+from rfho.spectral import excited_state, ground_state, sample_local_eigenvalue, sample_regular
 from rfho.transform import (
     Grid,
     QuadratureError,
@@ -96,12 +96,10 @@ class TestCutoff:
 
 
 class TestGuards:
-    def test_panel_count_checked(self):
-        for bad in (0, -3):
-            with pytest.raises(ValueError):
-                inverse_fourier(ground_state(F(1)), [0.0], panel_count=bad)
-        inverse_fourier(ground_state(F(1)), [0.0], panel_count=1)
-        # the count is keyword-only, so a third positional argument fails loudly
+    def test_no_panel_count_option(self):
+        # every caller gets PANEL_COUNT panels; only the private _transform takes another
+        with pytest.raises(TypeError):
+            inverse_fourier(ground_state(F(1)), [0.0], panel_count=400)
         with pytest.raises(TypeError):
             inverse_fourier(ground_state(F(1)), [0.0], 400)
 
@@ -118,7 +116,7 @@ class TestGuards:
         with pytest.raises(QuadratureError, match="reach"):
             nongaussianity_x(F(1, 2), [-200.0, 0.0])
         # halving the panels doubles the reach
-        inverse_fourier(ground_state(F(1)), [128.0], panel_count=400)
+        transform._transform([ground_state(F(1))], [128.0], 400)
         # index 1/5 needs K = 29, so the reach is 8 * 200 / 29 = 55.2
         inverse_fourier(ground_state(F(1, 5)), [-55.0, 55.0])
         with pytest.raises(QuadratureError, match="reach"):
@@ -171,6 +169,38 @@ class TestGuards:
             Grid("x", (0.0, 1.0), (0j,))
         with pytest.raises(ValueError, match="strictly increasing"):
             Grid("x", (1.0, 0.0), (0j, 0j))
+
+
+def _unreached(k):
+    raise AssertionError(f"a refused grid was evaluated at {k}")
+
+
+_SAMPLERS = {
+    "sample_regular": lambda pts: sample_regular(_unreached, pts),
+    "sample_local_eigenvalue": lambda pts: sample_local_eigenvalue(1, F(1), 0, pts),
+    "nongaussianity_k": lambda pts: nongaussianity_k(F(1), pts),
+    "inverse_fourier": lambda pts: inverse_fourier(ground_state(F(1)), pts),
+    "nongaussianity_x": lambda pts: nongaussianity_x(F(1), pts),
+}
+
+
+@pytest.mark.parametrize("sampler", _SAMPLERS)
+@pytest.mark.parametrize("points, message", [
+    ([math.nan], "sample points must be finite"),
+    ([math.inf], "sample points must be finite"),
+    ([-math.inf], "sample points must be finite"),
+    ([1.0, math.nan], "sample points must be finite"),
+    ([2.0, 1.0], "points must be strictly increasing"),
+    ([0.0, 0.0], "points must be strictly increasing"),
+], ids=["nan", "inf", "-inf", "nan-after-1", "descending", "repeated"])
+def test_every_sampler_keeps_the_point_rule(monkeypatch, sampler, points, message):
+    # refused before any point is evaluated: the x-space samplers before the kernel
+    # pass, sample_regular before f runs, and none reaches a trailing 1e300, which
+    # overflows in k and lies beyond the x-space reach
+    monkeypatch.setattr(transform, "_fourier_sums", _no_kernel)
+    for pts in (points, [*points, 1e300]):
+        with pytest.raises(ValueError, match=message):
+            _SAMPLERS[sampler](pts)
 
 
 class TestNonGaussianity:
