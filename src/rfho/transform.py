@@ -47,14 +47,23 @@ they are off by 8e-14 and at x = 200 by 1.1e-8.
 
 Kernel: each Gauss-Legendre panel is its centre c plus 16 offsets that
 come in pairs +-delta, so by angle addition the panel's share of the sum
-needs cos and sin of c x and of the 8 delta x, not of each k x; with the
-77 tanh-sinh nodes taken directly that is 2 * 199 + 2 * 8 + 77 = 491
-trig calls per x on the default rule instead of 3261.  Every sum runs in
-a fixed order with no BLAS call, so a value at x is the same bits
-whatever else the grid holds, and since cos is even and sin odd,
-psi_n(-x) = (-1)^n psi_n(x) holds exactly.  The sums run over blocks of
-128 x rows, so the working memory is a few block-sized buffers (about
-1.5 MB on the default rule), whatever the grid size.
+needs cos and sin of c x and of the 8 delta x, not of each k x.  Centre
+p sits at c_1 + (16 u + v) h, so cos and sin of c_p x come by a second
+angle addition from 13 coarse angles 16 u h x and 16 fine angles
+(c_1 + v h) x.  With the 77 tanh-sinh nodes taken directly that is
+2 * 13 + 2 * 16 + 2 * 8 + 77 = 151 trig calls per x on the default rule
+instead of 3261.  The sums over the panels are fused einsum contractions
+with optimize=False, which never reach BLAS: each runs along one row's
+contiguous panel axis in an order set by the row length and numpy's SIMD
+width alone.  So every sum runs in a fixed order, a value at x is the
+same bits whatever else the grid holds, and since cos is even and sin
+odd, psi_n(-x) = (-1)^n psi_n(x) holds exactly.  The last bits do depend
+on the SIMD target numpy picks at run time: with its AVX512 targets
+disabled (NPY_DISABLE_CPU_FEATURES=X86_V4), ``state --n 1 --alpha 3/2
+--space x --grid=-30:30:2001`` writes other bytes, though ``validate``
+writes the same.  The sums run over blocks of 128 x rows, so the working
+memory is a few block-sized buffers (about 1.3 MB on the default rule),
+whatever the grid size.
 
 Every result is a ``spectral.Grid`` (imported here, so ``transform.Grid``
 names the same class).
@@ -90,6 +99,8 @@ _MIN_CUTOFF = 25
 _GL_NODES = 16
 #: node pairs (j, 15 - j) each panel folds into one cos and one sin term
 _HALF = _GL_NODES // 2
+#: fine centre steps per coarse step: 13 coarse and 16 fine angles give the 199 centres
+_FINE_STEPS = 16
 #: share of the integrand's absolute mass the sliver below the deepest node may hold
 _DROP_LIMIT = 1e-16
 #: largest |x| * panel width the rule resolves: 64 at the width 1/8 of K = 25, 200 panels
@@ -145,12 +156,15 @@ def _tanh_sinh(width: float) -> tuple[np.ndarray, np.ndarray]:
 
 class _Rule(NamedTuple):
     """The quadrature rule on [0, K]: every node and weight, tanh-sinh first,
-    and the Gauss-Legendre panels as centres plus one shared set of offsets."""
+    and the Gauss-Legendre panels as centres plus one shared set of offsets,
+    each centre c_p = coarse[u] + fine[v] with p - 1 = 16 u + v."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    #: the midpoints c_p of the Gauss-Legendre panels, ascending
-    centres: np.ndarray
+    #: the coarse steps 16 u h, u < ceil(199 / 16) on the default rule
+    coarse: np.ndarray
+    #: the fine steps c_1 + v h, v < 16, with c_1 = 3h/2 the first panel's centre
+    fine: np.ndarray
     #: the offsets delta_j, j < 8, of each panel's first 8 nodes; node 15 - j sits at -delta_j
     offsets: np.ndarray
 
@@ -171,7 +185,9 @@ def _rule(cutoff: int, panel_count: int) -> _Rule:
     ts_nodes, ts_weights = _tanh_sinh(width)
     nodes = np.concatenate([ts_nodes, (centers[:, None] + offsets).ravel()])
     weights = np.concatenate([ts_weights, np.tile(width / 2 * base_w, panel_count - 1)])
-    return _Rule(nodes, weights, centers, offsets[:_HALF].copy())
+    coarse = _FINE_STEPS * width * np.arange(math.ceil((panel_count - 1) / _FINE_STEPS))
+    fine = width * (np.arange(_FINE_STEPS) + 1.5)
+    return _Rule(nodes, weights, coarse, fine, offsets[:_HALF].copy())
 
 
 def _integrand(
@@ -219,68 +235,66 @@ def _integrand(
     return -value if odd else value
 
 
-def _folded_sum(
-    trig_d: np.ndarray, pairs: np.ndarray, out: np.ndarray, term: np.ndarray
-) -> np.ndarray:
-    """sum_{j<8} trig_d[:, j] * pairs[j] into ``out``, as a fixed loop of multiply-adds."""
-    import numpy as np
-
-    np.multiply(trig_d[:, :1], pairs[0], out=out)
-    for j in range(1, _HALF):
-        np.multiply(trig_d[:, j : j + 1], pairs[j], out=term)
-        out += term
-    return out
-
-
 def _fourier_sums(
     x_arr: np.ndarray, rule: _Rule, columns: Sequence[np.ndarray], odd: bool
 ) -> np.ndarray:
     """2 * sum_j trig(x_i k_j) c_j for each column c, one row per column.
 
     The tanh-sinh nodes are summed directly.  A Gauss-Legendre panel's node
-    j sits at c + delta_j with delta_{15-j} = -delta_j, so by angle addition
-    the panel adds cos(cx) A - sin(cx) B to the cos sum and sin(cx) A +
-    cos(cx) B to the sin sum, where A = sum_{j<8} cos(delta_j x) (f_j +
-    f_{15-j}) and B = sum_{j<8} sin(delta_j x) (f_j - f_{15-j}).  No sum
-    depends on which other rows are in the grid: A and B are fixed loops,
-    and each row's panel terms and tanh-sinh terms are summed by
-    np.add.reduce, panels first.  The rows are taken _BLOCK_ROWS at a time
+    j sits at c_p + delta_j with delta_{15-j} = -delta_j, so by angle
+    addition the panels add sum_{j<8} cos(delta_j x) P_j + sin(delta_j x) Q_j
+    to the sum, where P_j = sum_p first(c_p x) (f_jp + f_{15-j,p}) and Q_j =
+    +-sum_p second(c_p x) (f_jp - f_{15-j,p}); first, second and the sign are
+    cos, sin and - on the cos fold, sin, cos and + on the sin fold.  cos and
+    sin of c_p x come by one more angle addition from the coarse and fine steps.
+    No sum depends on which other rows are in the grid: P and Q are einsum
+    contractions, which call no BLAS and sum in an order set by the row
+    length alone, and each row's panel terms and tanh-sinh terms are summed
+    by np.add.reduce, panels first.  The rows are taken _BLOCK_ROWS at a time
     in reused buffers.
     """
     import numpy as np
 
     trig = np.sin if odd else np.cos
-    ts_count = rule.nodes.size - rule.centres.size * _GL_NODES
+    ts_count = _TS_LAST - _TS_FIRST + 1
     ts_nodes = rule.nodes[:ts_count]
     folded = []
     for column in columns:
         panels = column[ts_count:].reshape(-1, _GL_NODES)
         head, tail = panels[:, :_HALF], panels[:, : _HALF - 1 : -1]
-        # B enters the cos sum negated: cos(cx) A + sin(cx) (-B)
+        # Q enters the cos sum negated: cos(cx) P - sin(cx) Q
         signed = head - tail if odd else tail - head
         folded.append((column[:ts_count], (head + tail).T.copy(), signed.T.copy()))
+    centre_count = (rule.nodes.size - ts_count) // _GL_NODES
     out = np.empty((len(columns), x_arr.size))
-    shape = (min(_BLOCK_ROWS, x_arr.size), rule.centres.size)
-    cos_c, sin_c, a_buf, b_buf, term = (np.empty(shape) for _ in range(5))
-    first, second = (sin_c, cos_c) if odd else (cos_c, sin_c)
+    # cos and sin of centre 16 u + v at [row, u, v], slots past the last centre
+    # unused; reused across blocks, as fresh arrays this size cost page faults
+    shape = (min(_BLOCK_ROWS, x_arr.size), rule.coarse.size, rule.fine.size)
+    cos_c, sin_c, term = (np.empty(shape) for _ in range(3))
     for lo in range(0, x_arr.size, _BLOCK_ROWS):
         rows = x_arr[lo : lo + _BLOCK_ROWS]
         size = rows.size
-        # sin_c holds c x until its sin overwrites it
-        np.multiply.outer(rows, rule.centres, out=sin_c[:size])
-        np.cos(sin_c[:size], out=cos_c[:size])
-        np.sin(sin_c[:size], out=sin_c[:size])
+        coarse, fine = np.multiply.outer(rows, rule.coarse), np.multiply.outer(rows, rule.fine)
+        cos_u, sin_u = np.cos(coarse)[:, :, None], np.sin(coarse)[:, :, None]
+        cos_v, sin_v = np.cos(fine)[:, None, :], np.sin(fine)[:, None, :]
+        np.multiply(cos_u, cos_v, out=cos_c[:size])
+        cos_c[:size] -= np.multiply(sin_u, sin_v, out=term[:size])
+        np.multiply(sin_u, cos_v, out=sin_c[:size])
+        sin_c[:size] += np.multiply(cos_u, sin_v, out=term[:size])
+        first, second = (
+            trig_c[:size].reshape(size, -1)[:, :centre_count]
+            for trig_c in ((sin_c, cos_c) if odd else (cos_c, sin_c))
+        )
         dx = np.multiply.outer(rows, rule.offsets)
         cos_d, sin_d = np.cos(dx), np.sin(dx)
         ts_kernel = trig(np.multiply.outer(rows, ts_nodes))
         for c, (ts_column, plus, signed) in enumerate(folded):
-            a = _folded_sum(cos_d, plus, a_buf[:size], term[:size])
-            b = _folded_sum(sin_d, signed, b_buf[:size], term[:size])
-            a *= first[:size]
-            b *= second[:size]
-            a += b
+            terms = cos_d * np.einsum("ip,jp->ij", first, plus, optimize=False)
+            terms += sin_d * np.einsum("ip,jp->ij", second, signed, optimize=False)
             ts_terms = ts_kernel * ts_column
-            out[c, lo : lo + size] = np.add.reduce(a, axis=1) + np.add.reduce(ts_terms, axis=1)
+            out[c, lo : lo + size] = (
+                np.add.reduce(terms, axis=1) + np.add.reduce(ts_terms, axis=1)
+            )
     out *= 2.0
     return out
 
@@ -324,14 +338,19 @@ def nongaussianity_k(alpha, ks: Sequence[float]) -> Grid:
 
     Written as -expm1(k^2/2 - |k|^e/e), which keeps its digits as the
     exponent tends to 0 with k; at index 2 that is -0.0, which the CLI
-    writer prints as 0.  OverflowError once the exponent passes about 709.
+    writer prints as 0.  OverflowError once the exponent passes about 709,
+    and where it is not finite: past |k| = 1.3e154 k^2 is inf in floating
+    point, where expm1 would give -inf with no error.
     """
     e = float(ground_state(alpha).ground_exponent)
     pts = _points(float(k) for k in ks)
-    values = tuple(
-        complex(-math.expm1(k * k / 2 - abs(k) ** e / e), 0.0) for k in pts
-    )
-    return Grid("k", pts, values)
+    values = []
+    for k in pts:
+        exponent = k * k / 2 - abs(k) ** e / e
+        if not math.isfinite(exponent):
+            raise OverflowError(f"the exponent at k = {k:g} is not finite")
+        values.append(complex(-math.expm1(exponent), 0.0))
+    return Grid("k", pts, tuple(values))
 
 
 def nongaussianity_x(alpha, xs: Sequence[float]) -> Grid:

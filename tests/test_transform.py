@@ -391,6 +391,47 @@ class TestRowBlocks:
             assert peak <= 16 * 2**20
 
 
+class TestKernelBudget:
+    #: per x row: 2 * 13 coarse + 2 * 16 fine centre angles, 2 * 8 offsets, 77 tanh-sinh nodes
+    TRIG_PER_ROW = 151
+
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("m", [1, 127, 300])
+    def test_trig_and_contractions(self, monkeypatch, odd, m):
+        # the kernel looks cos, sin and einsum up on numpy at call time;
+        # every element through cos or sin is counted, and numpy's BLAS entry
+        # points raise
+        rule = transform._rule(25, transform.PANEL_COUNT)
+        columns = [
+            transform._integrand(excited_state(n, F(1, 2)), rule.nodes, rule.weights, 39.0)
+            for n in ((1, 3) if odd else (0, 2))
+        ]
+        counted = []
+
+        def counting(real):
+            def trig(arg, *args, **kwargs):
+                counted.append(np.size(arg))
+                return real(arg, *args, **kwargs)
+            return trig
+
+        def einsum(*args, **kwargs):
+            assert kwargs.get("optimize") is False
+            return real_einsum(*args, **kwargs)
+
+        def no_blas(*args, **kwargs):
+            raise AssertionError("the kernel called BLAS")
+
+        real_einsum = np.einsum
+        monkeypatch.setattr(np, "cos", counting(np.cos))
+        monkeypatch.setattr(np, "sin", counting(np.sin))
+        monkeypatch.setattr(np, "einsum", einsum)
+        for name in ("dot", "matmul", "tensordot", "inner", "vdot"):
+            monkeypatch.setattr(np, name, no_blas)
+        sums = transform._fourier_sums(np.linspace(-39.0, 39.0, m), rule, columns, odd)
+        assert sums.shape == (2, m)
+        assert 0 < sum(counted) <= self.TRIG_PER_ROW * m
+
+
 class TestSharedPass:
     def test_equals_separate_transforms(self):
         xs = [i * 0.25 - 6.0 for i in range(49)]
